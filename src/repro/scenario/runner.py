@@ -188,6 +188,7 @@ class ScenarioRunner:
                 monitors=True, postmortem_dir=self.postmortem_dir,
                 health_interval=1.0,
             )
+            system.flight_recorder.label = self.scenario.name
         for subnet in spec.subnets:
             system.spawn_subnet(
                 SubnetConfig(

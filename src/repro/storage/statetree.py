@@ -22,10 +22,18 @@ depth and memory stay amortised O(1) per fork.
 ``root()`` is the state-root commitment block headers carry.  Keys are
 sharded into ``n_buckets`` buckets (crc32, process-independent) with a
 cached digest per bucket; writes mark their bucket dirty, and ``root()``
-re-hashes only dirty buckets — O(writes × bucket-size) per block instead of
-O(state).  Bucket membership and in-bucket ordering are pure functions of
-the key, so the root is independent of write order, snapshot layering, fork
-history, and event-schedule perturbations (the DET determinism contract).
+re-hashes only dirty buckets.  A bucket digest is the CID of the bucket's
+``{key: value}`` map, i.e. sha-256 over the canonical dict framing plus
+each live key's *leaf* — ``canonical_encode(key) + canonical_encode(value)``
+— in key order.  Leaves are memoized per key in a map shared by a tree and
+all its forks, so re-hashing a dirty bucket joins cached bytes and encodes
+only the values written since they were last committed: encoding work
+follows writes, not bucket or state size (``last_root_encoded`` counts it).
+The memo costs one ``(value, leaf bytes)`` entry per key ever committed in
+the lineage.  Bucket membership and in-bucket ordering are pure functions
+of the key, so the root is independent of write order, snapshot layering,
+fork history, and event-schedule perturbations (the DET determinism
+contract).
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from hashlib import sha256
 from typing import Any, Iterator, Optional
 
 from repro.crypto.cid import CID, cid_of
+from repro.crypto.encoding import canonical_encode
 from repro.storage.backend import EMPTY_BACKEND, StateBackend, bucket_of
 
 _DELETED = object()
@@ -45,6 +54,9 @@ _MAX_CHAIN_DEPTH = 32
 
 #: Default bucket count for the sharded root commitment.
 DEFAULT_BUCKETS = 256
+
+#: Digest of a bucket with no live keys: the CID of the empty map.
+_EMPTY_BUCKET = cid_of({}).digest
 
 
 class _FrozenLayer:
@@ -86,8 +98,14 @@ class StateTree:
         self._n_buckets = n_buckets
         self._digests: Optional[list[bytes]] = None  # per-bucket, None until first root()
         self._dirty: set[int] = set()  # buckets written since digests were cached
+        #: key -> (value, leaf bytes) as last committed by ``root()`` in this
+        #: lineage; shared with every fork.  Valid only while the key still
+        #: holds that very object (see ``set()``).
+        self._leaves: dict[str, tuple[Any, bytes]] = {}
         #: Buckets re-hashed by the most recent ``root()`` call (perf gauge).
         self.last_root_rehashed = 0
+        #: Leaves encoded by the most recent ``root()`` call (work counter).
+        self.last_root_encoded = 0
 
     # ------------------------------------------------------------------
     # Reads / writes
@@ -118,6 +136,15 @@ class StateTree:
         return self._backend.has(key)
 
     def set(self, key: str, value: Any) -> None:
+        """Store *value* at *key*.
+
+        Stored values are immutable records: once handed to ``set()`` an
+        object must never be mutated in place (actors copy, modify, then
+        ``set()`` the copy).  Fork isolation depends on this, and so does
+        the root's leaf memo, which reuses a key's encoding for as long as
+        the key holds the *same object* — mutating it in place would leave
+        the committed leaf stale.
+        """
         if value is _DELETED:
             raise ValueError("reserved sentinel cannot be stored")
         self._layers[-1][key] = value
@@ -143,15 +170,20 @@ class StateTree:
             if value is not _DELETED and key.startswith(prefix):
                 yield key, value
 
-    def _merged(self) -> dict[str, Any]:
-        """Full merged map including tombstones (newest wins)."""
-        merged: dict[str, Any] = dict(self._backend.items())
+    def _chain(self) -> list[_FrozenLayer]:
+        """The shared frozen layers under this tree, oldest first."""
         chain: list[_FrozenLayer] = []
         frozen = self._frozen
         while frozen is not None:
             chain.append(frozen)
             frozen = frozen.parent
-        for layer in reversed(chain):  # oldest first
+        chain.reverse()
+        return chain
+
+    def _merged(self) -> dict[str, Any]:
+        """Full merged map including tombstones (newest wins)."""
+        merged: dict[str, Any] = dict(self._backend.items())
+        for layer in self._chain():
             merged.update(layer.entries)
         for mutable in self._layers:
             merged.update(mutable)
@@ -212,21 +244,23 @@ class StateTree:
         """Content commitment over the full live state (the 'state root').
 
         Incremental: only buckets written since the previous call are
-        re-hashed; the rest reuse cached digests.  The commitment itself is
-        a pure function of the live key/value content.
+        re-hashed, the rest reuse cached digests, and a re-hashed bucket
+        re-encodes only the keys whose value object changed since the
+        lineage last committed them.  The commitment itself is a pure
+        function of the live key/value content.
         """
-        n = self._n_buckets
         if self._digests is None:
-            dirty: Iterator[int] = iter(range(n))
-            self._digests = [b""] * n
-            self.last_root_rehashed = n
+            self._digests = [b""] * self._n_buckets
+            dirty: list[int] = list(range(self._n_buckets))
         else:
-            dirty = iter(sorted(self._dirty))
-            self.last_root_rehashed = len(self._dirty)
+            dirty = sorted(self._dirty)
+        self.last_root_rehashed = len(dirty)
+        self.last_root_encoded = 0
+        chain = self._chain()
         overlay = self._overlay()
         digests = self._digests
         for bucket in dirty:
-            digests[bucket] = self._bucket_digest(bucket, overlay)
+            digests[bucket] = self._bucket_digest(bucket, chain, overlay)
         self._dirty.clear()
         # Combine per-bucket digests directly (fixed-width, fixed-count
         # bytes need no canonical framing): one sha-256 over 32*N bytes.
@@ -242,26 +276,39 @@ class StateTree:
             overlay.setdefault(bucket_of(key, self._n_buckets), {})[key] = value
         return overlay
 
-    def _bucket_digest(self, bucket: int, overlay: dict[int, dict[str, Any]]) -> bytes:
+    def _bucket_digest(
+        self,
+        bucket: int,
+        chain: list[_FrozenLayer],
+        overlay: dict[int, dict[str, Any]],
+    ) -> bytes:
         content: dict[str, Any] = dict(self._backend.bucket_items(bucket, self._n_buckets))
-        chain: list[_FrozenLayer] = []
-        frozen = self._frozen
-        while frozen is not None:
-            chain.append(frozen)
-            frozen = frozen.parent
-        for layer in reversed(chain):  # oldest first
+        for layer in chain:
             entries = layer.buckets.get(bucket)
             if entries:
                 content.update(entries)
         entries = overlay.get(bucket)
         if entries:
             content.update(entries)
-        live = {
-            key: _commit_value(content[key])
-            for key in sorted(content)
-            if content[key] is not _DELETED
-        }
-        return cid_of(live).digest
+        # Byte-identical to ``cid_of({key: _commit_value(value)})`` over the
+        # live keys: canonical dict framing, then each leaf in key order.
+        leaves = self._leaves
+        parts: list[bytes] = []
+        for key in sorted(content):
+            value = content[key]
+            if value is _DELETED:
+                continue
+            cached = leaves.get(key)
+            if cached is not None and cached[0] is value:
+                parts.append(cached[1])
+                continue
+            leaf = canonical_encode(key) + canonical_encode(_commit_value(value))
+            leaves[key] = (value, leaf)
+            parts.append(leaf)
+            self.last_root_encoded += 1
+        if not parts:
+            return _EMPTY_BUCKET
+        return sha256(b"d%d:" % len(parts) + b"".join(parts)).digest()
 
     # ------------------------------------------------------------------
     # Forks
@@ -273,8 +320,9 @@ class StateTree:
         externally-invisible repacking: reads, depth and tokens are
         unchanged) and the clone points at the same chain with a fresh
         private write layer — no key/value is copied.  Cached bucket
-        digests transfer to the clone, so its first ``root()`` after k
-        writes re-hashes only k buckets.
+        digests transfer to the clone and the leaf memo is shared, so its
+        first ``root()`` after k writes re-hashes at most k buckets and
+        encodes only the k written values.
 
         Forking with open snapshots leaves this tree's transaction stack
         untouched; the clone sees the merged view at depth 0 (matching the
@@ -296,6 +344,7 @@ class StateTree:
 
         clone = StateTree(backend=self._backend, n_buckets=self._n_buckets)
         clone._frozen = shared
+        clone._leaves = self._leaves
         if self._digests is not None:
             clone._digests = list(self._digests)
             clone._dirty = set(self._dirty)
@@ -312,12 +361,7 @@ class StateTree:
         otherwise they are dead weight and dropped.
         """
         merged: dict[str, Any] = {}
-        chain: list[_FrozenLayer] = []
-        frozen = self._frozen
-        while frozen is not None:
-            chain.append(frozen)
-            frozen = frozen.parent
-        for layer in reversed(chain):  # oldest first
+        for layer in self._chain():
             merged.update(layer.entries)
         backend = self._backend
         merged = {

@@ -41,6 +41,11 @@ def _plain(value):
     return repr(value)
 
 
+def _slug(text: str) -> str:
+    """*text* reduced to file-name-safe characters."""
+    return "".join(ch if ch.isalnum() or ch in "-." else "_" for ch in text)
+
+
 class FlightRecorder:
     """Bounded recent-history rings with on-demand postmortem dumps."""
 
@@ -54,6 +59,10 @@ class FlightRecorder:
         self.sim = sim
         self.system = system
         self.capacity = capacity
+        #: Names the run in bundle file names (the scenario runner sets its
+        #: scenario's name), so runs sharing a seed and an out dir never
+        #: overwrite each other's bundles.
+        self.label: Optional[str] = None
         self.out_dir = out_dir if out_dir is not None else os.environ.get(
             "REPRO_POSTMORTEM_DIR"
         )
@@ -134,9 +143,9 @@ class FlightRecorder:
         }
         self.bundles.append(bundle)
         if self.out_dir:
+            run = f"{_slug(self.label)}_s{sim.seed}" if self.label else f"s{sim.seed}"
             path = os.path.join(
-                self.out_dir,
-                f"postmortem_s{sim.seed}_{len(self.bundles) - 1:03d}.json",
+                self.out_dir, f"postmortem_{run}_{len(self.bundles) - 1:03d}.json"
             )
             os.makedirs(self.out_dir, exist_ok=True)
             with open(path, "w", encoding="utf-8") as fh:

@@ -3,6 +3,23 @@
 import pytest
 
 from repro.hierarchy import ROOTNET, HierarchicalSystem, SubnetConfig, audit_system
+from tests.storage.reference import reference_root
+
+
+def assert_head_roots_fresh(system):
+    """Each node's head state commits to its header's root, through the
+    incremental tree and through the independent reference over
+    ``flatten()``.  A stored record mutated in place would leave a cached
+    leaf stale and split the two — until a later copy-and-write of the same
+    key hides it, so this runs right after each cross-msg route."""
+    for subnet in system.subnets:
+        for node in system.nodes(subnet):
+            header = node.head().header
+            state = node.vm.state
+            assert state.root() == header.state_root, f"{subnet}: stale root"
+            assert (
+                reference_root(state.flatten(), state._n_buckets) == header.state_root
+            ), f"{subnet}: committed root disagrees with the reference"
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +73,7 @@ def test_multihop_topdown_fund(deep_system):
     # Circulating supplies recorded level by level.
     assert system.child_record(ROOTNET, "/root/a")["circulating"] >= 200_000
     assert system.child_record(ROOTNET.child("a"), "/root/a/b")["circulating"] >= 80_000
+    assert_head_roots_fresh(system)
 
 
 def test_multihop_bottomup_release(deep_system):
@@ -68,6 +86,7 @@ def test_multihop_bottomup_release(deep_system):
     assert system.wait_for(
         lambda: system.balance(ROOTNET, carol.address) == 5_000, timeout=180.0
     ), "two-hop bottom-up transfer never arrived"
+    assert_head_roots_fresh(system)
 
 
 def test_path_message_between_siblings(deep_system):
@@ -83,6 +102,7 @@ def test_path_message_between_siblings(deep_system):
     ), "path message never arrived at the sibling subnet"
     # The sibling's circulating supply grew by the path transfer.
     assert system.child_record(ROOTNET, "/root/c")["circulating"] >= 3_000
+    assert_head_roots_fresh(system)
 
 
 def test_supply_invariants_after_routing(deep_system):
@@ -97,3 +117,8 @@ def test_every_subnet_converges(deep_system):
         nodes = deep_system.nodes(subnet)
         heights = [n.head().height for n in nodes]
         assert max(heights) - min(heights) <= 2, f"{subnet} diverged"
+
+
+def test_head_state_roots_are_fresh(deep_system):
+    deep_system.run_for(2.0)
+    assert_head_roots_fresh(deep_system)

@@ -1,6 +1,7 @@
 """Campaign runner and triage CLI tests."""
 
 import json
+import os
 import random
 
 import pytest
@@ -119,6 +120,27 @@ def test_report_cli_flags_unexpected_runs(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "<-- TRIAGE" in out
     assert "expected violation never fired: supply" in out
+
+
+def test_bundles_of_scenarios_sharing_a_seed_do_not_collide(tmp_path):
+    """Two scenarios, one seed, one postmortem dir: every bundle the report
+    references is its own file, named for and written by its scenario."""
+    names = ("mislabeled-a", "mislabeled-b")
+    report = CampaignRunner(
+        "collide",
+        [_tiny(name=name, expect=Expectation.violates("supply")) for name in names],
+        seeds=(1,), out_dir=str(tmp_path),
+        postmortem_dir=str(tmp_path / "postmortem"),
+    ).run()
+    paths = [path for run in report["runs"] for path in run["bundles"]]
+    assert len(paths) == len(set(paths)) >= len(names)
+    for run in report["runs"]:
+        assert run["bundles"], f"{run['scenario']} dumped no bundle"
+        for path in run["bundles"]:
+            assert os.path.basename(path).startswith(f"postmortem_{run['scenario']}_s1_")
+            with open(path, encoding="utf-8") as handle:
+                bundle = json.load(handle)
+            assert bundle["reason"].startswith(f"scenario:{run['scenario']}:")
 
 
 def test_report_cli_json_mode(tmp_path, capsys):

@@ -1,11 +1,15 @@
 """Unit and property tests for the versioned state tree."""
 
+from hashlib import sha256
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.crypto.cid import CID
 from repro.storage.backend import MemoryBackend, bucket_of
 from repro.storage.statetree import _MAX_CHAIN_DEPTH, StateTree
+from tests.storage.reference import reference_root
 
 
 def test_basic_set_get():
@@ -270,12 +274,42 @@ def test_backend_is_visible_through_tree_and_forks():
 # ----------------------------------------------------------------------
 # Incremental root
 # ----------------------------------------------------------------------
-def _scratch_root(tree):
-    """Recompute the root from scratch on a fresh tree with equal content."""
-    fresh = StateTree(n_buckets=tree._n_buckets)
-    for key, value in tree.flatten().items():
-        fresh.set(key, value)
-    return fresh.root()
+def _reference(tree):
+    """The independent reference root over the tree's live content."""
+    return reference_root(tree.flatten(), tree._n_buckets)
+
+
+#: A fixed small state covering every value shape the encoder commits.
+_GOLDEN_STATE = {
+    "balance/alice": 100,
+    "balance/bob": 250,
+    "nonce/alice": 3,
+    "actor/sca": {
+        "registry": {"/root/a": {"stake": 10, "status": "active"}},
+        "nonces": [1, 2, 3],
+    },
+    "blob": b"\x00\x01",
+    "flag": True,
+    "none": None,
+    "cid": CID(sha256(b"golden").digest()),
+}
+
+
+@pytest.mark.parametrize(
+    "n_buckets, expected",
+    [
+        (256, "0e4656e5843e878cf158e9fe5673f9e282f315232385a4b377607ca9ff96fee5"),
+        (7, "826237c3cb6d8e486fbb23155cb32f3ae1ac5caac9eb84818f0ac91ffd5aac10"),
+    ],
+)
+def test_root_bytes_are_pinned(n_buckets, expected):
+    """The commitment bytes block headers carry must never drift: a change
+    here splits every stored block CID and end-state digest."""
+    tree = StateTree(n_buckets=n_buckets)
+    for key, value in _GOLDEN_STATE.items():
+        tree.set(key, value)
+    assert tree.root().hex() == expected
+    assert reference_root(_GOLDEN_STATE, n_buckets).hex() == expected
 
 
 @given(
@@ -313,7 +347,60 @@ def test_incremental_root_equals_scratch_root(operations):
             depth = 0
         elif op == "root":
             tree.root()  # populate/refresh the digest cache mid-sequence
-        assert tree.root() == _scratch_root(tree)
+        assert tree.root() == _reference(tree)
+
+
+#: Stored values for the sibling-fork property: shared objects (so the
+#: leaf memo's identity hits occur across forks), equal-but-distinct
+#: dicts, and nested shapes.
+_VALUES = [0, 1, "x", {"a": 1}, {"a": 1}, {"a": [1, 2]}, (1, "t"), None, b"\x01"]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["left", "right"]),
+            st.sampled_from(
+                ["set", "delete", "snapshot", "commit", "revert", "fork", "root"]
+            ),
+            st.sampled_from(["k1", "k2", "k3", "k4", "k5", "k6"]),
+            st.integers(min_value=0, max_value=len(_VALUES) - 1),
+        ),
+        max_size=40,
+    )
+)
+def test_sibling_forks_rooted_interleaved_match_reference(operations):
+    """Two sibling forks sharing one leaf memo, written and rooted in
+    interleaved order, must each commit exactly their own content."""
+    base = StateTree(n_buckets=5)
+    for index, key in enumerate(["k1", "k2", "k3"]):
+        base.set(key, _VALUES[index])
+    base.root()
+    forks = {"left": base.fork(), "right": base.fork()}
+    depth = {"left": 0, "right": 0}
+    for side, op, key, value_index in operations:
+        tree = forks[side]
+        if op == "set":
+            tree.set(key, _VALUES[value_index])
+        elif op == "delete":
+            tree.delete(key)
+        elif op == "snapshot":
+            tree.snapshot()
+            depth[side] += 1
+        elif op == "commit" and depth[side] > 0:
+            tree.commit()
+            depth[side] -= 1
+        elif op == "revert" and depth[side] > 0:
+            tree.revert()
+            depth[side] -= 1
+        elif op == "fork":
+            forks[side] = tree.fork()
+            depth[side] = 0
+        elif op == "root":
+            assert tree.root() == _reference(tree)
+    for tree in forks.values():
+        assert tree.root() == _reference(tree)
+    assert base.root() == _reference(base)
 
 
 def test_root_is_incremental_not_full_rehash():
@@ -324,6 +411,84 @@ def test_root_is_incremental_not_full_rehash():
     tree.set("key0", -1)
     tree.root()
     assert tree.last_root_rehashed == 1  # only key0's bucket was re-hashed
+
+
+def test_root_encodes_only_written_leaves():
+    """Encoding work follows writes: 10k keys, one written, one leaf."""
+    tree = StateTree()
+    for i in range(10_000):
+        tree.set(f"key{i}", i)
+    tree.root()
+    assert tree.last_root_encoded == 10_000
+    tree.set("key7", -7)
+    root = tree.root()
+    assert tree.last_root_rehashed == 1
+    assert tree.last_root_encoded == 1
+    assert root == _reference(tree)
+    fork = tree.fork()
+    fork.set("key8", -8)
+    assert fork.root() == _reference(fork)
+    assert fork.last_root_encoded == 1  # the memo is shared with the fork
+
+
+def test_root_equal_but_distinct_value_is_re_encoded():
+    tree = StateTree(n_buckets=1)
+    tree.set("r", {"a": [1]})
+    tree.set("s", 2)
+    before = tree.root()
+    tree.set("r", {"a": [1]})  # equal content, new object
+    assert tree.root() == before == _reference(tree)
+    assert tree.last_root_encoded == 1
+
+
+def test_root_key_set_back_to_older_object():
+    old, new = {"v": 1}, {"v": 2}
+    tree = StateTree(n_buckets=1)
+    tree.set("r", old)
+    first = tree.root()
+    tree.set("r", new)
+    assert tree.root() != first
+    tree.set("r", old)  # the memo now holds *new* for this key
+    assert tree.root() == first == _reference(tree)
+    assert tree.last_root_encoded == 1
+
+
+def test_root_after_delete_reuses_bucket_mates():
+    tree = StateTree(n_buckets=1)
+    tree.set("a", {"x": 1})
+    tree.set("b", {"y": 2})
+    tree.root()
+    tree.delete("a")
+    assert tree.root() == _reference(tree)
+    assert tree.last_root_rehashed == 1
+    assert tree.last_root_encoded == 0
+
+
+def test_root_after_revert_of_rooted_write_re_encodes():
+    old, new = {"v": 1}, {"v": 2}
+    tree = StateTree(n_buckets=1)
+    tree.set("a", old)
+    before = tree.root()
+    token = tree.snapshot()
+    tree.set("a", new)
+    assert tree.root() != before  # memo and digest now reflect *new*
+    tree.revert(token)
+    assert tree.root() == before == _reference(tree)
+    assert tree.last_root_encoded == 1
+
+
+def test_sibling_fork_roots_do_not_share_stale_leaves():
+    base = StateTree(n_buckets=1)
+    base.set("k", "base")
+    base.root()
+    left, right = base.fork(), base.fork()
+    left.set("k", "left")
+    right.set("k", "right")
+    assert left.root() == _reference(left)
+    assert right.root() == _reference(right)  # memo entry for k is now right's
+    left.set("other", 1)
+    assert left.root() == _reference(left)
+    assert base.root() == _reference(base)
 
 
 def test_root_after_revert_is_not_stale():
