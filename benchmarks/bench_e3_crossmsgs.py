@@ -154,12 +154,15 @@ def test_e3_crossmsg_latency_vs_depth(benchmark):
     )
     dump = telemetry_snapshot(
         system.sim, tracer=tracer, probe=system.health_probe,
-        monitor=system.invariant_monitor,
+        monitor=system.invariant_monitor, rounds=system.round_tracer,
         wall_seconds=common.LAST_WALL_SECONDS,
     )
     write_json(os.path.join(out, "TELEMETRY_e3.json"), dump)
     write_prometheus(os.path.join(out, "TELEMETRY_e3.prom"), system.sim)
-    write_chrome_trace(os.path.join(out, "TRACE_e3.json"), system.sim, tracer)
+    write_chrome_trace(
+        os.path.join(out, "TRACE_e3.json"), system.sim, tracer,
+        rounds=system.round_tracer,
+    )
     # Spawn-time funding also traces, so at least the measured transfers.
     assert tracer.delivered_count() >= len(rows), "every transfer should be spanned"
     assert dump["histograms"].get("xnet.hop.topdown.L1", {}).get("count", 0) > 0

@@ -134,6 +134,7 @@ def write_bench_json(name: str, rows=None, sim=None, extra=None) -> str:
             sim,
             getattr(LAST_SYSTEM, "span_tracer", None),
             profiler=profiler,
+            rounds=getattr(LAST_SYSTEM, "round_tracer", None),
         )
     if sim is not None:
         sim.dispatch.publish()

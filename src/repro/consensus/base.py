@@ -152,15 +152,14 @@ class ConsensusEngine:
         return self.sim.metrics.counter(f"consensus.{self.node.subnet_id}.{name}")
 
     def _trace_round(self, kind: str, **fields) -> None:
-        """Feed one round/view transition to the installed RoundTracer.
+        """Emit one round/view transition as a ``round`` observation.
 
-        Duck-typed against ``sim.round_tracer`` (None = tracing off) so
-        the consensus layer never imports telemetry; a single attribute
-        read on the disabled path keeps engines digest-neutral and cheap.
+        The consensus layer names only the observation kind, never a
+        telemetry class; with no subscriber the emit is one attribute read
+        and an empty loop, which keeps engines digest-neutral and cheap.
         """
-        tracer = self.sim.round_tracer
-        if tracer is not None:
-            tracer.on_round_event(
+        for observer in self.sim.observers.round:
+            observer(
                 self.node.subnet_id, self.node.node_id, kind,
                 self.sim.now, fields,
             )

@@ -25,7 +25,6 @@ also sign a forged conflicting checkpoint (the attack E8 measures).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.crypto.cid import CID, cid_of
 from repro.crypto.signature import Signature, sign
@@ -291,10 +290,8 @@ class CheckpointService:
             "checkpoint.submit", str(self.node.subnet_id),
             f"window={window}", checkpoint.cid.short(),
         )
-        if self.sim.span_tracer is not None:
-            self.sim.span_tracer.checkpoint_submitted(
-                checkpoint.cid.hex(), str(self.node.subnet_id), window
-            )
+        for observer in self.sim.observers.checkpoint_submit:
+            observer(checkpoint.cid.hex(), str(self.node.subnet_id), window)
         self._push_contents(checkpoint)
 
     def _push_contents(self, checkpoint: Checkpoint) -> None:

@@ -285,8 +285,6 @@ class HierarchicalSystem:
             self.invariant_monitor = InvariantMonitor(
                 self, recorder=self.flight_recorder
             ).install()
-            if self.health_probe is not None:
-                self.health_probe.on_sample(self.flight_recorder.note_health)
         if profile and self.profiler is None:
             from repro.telemetry import SamplingProfiler
 
@@ -359,9 +357,11 @@ class HierarchicalSystem:
     def health_snapshot(self) -> dict:
         """Per-subnet vitals read directly off the nodes (no probe needed).
 
-        Same fields as :class:`~repro.telemetry.health.HealthProbe` plus
-        ``min_height`` across the subnet's validators — the spread exposes
-        a partitioned or crashed laggard at a glance.
+        The one reader of subnet vitals: the
+        :class:`~repro.telemetry.health.HealthProbe` records it and
+        ``wait_for`` timeouts attach it.  ``height`` is the subnet's best
+        head across its validators and ``min_height`` the worst — the
+        spread exposes a partitioned or crashed laggard at a glance.
         """
         snapshot: dict[str, dict] = {}
         for subnet in self.subnets:
@@ -435,15 +435,14 @@ class HierarchicalSystem:
                 f" pending_crossmsgs={health['pending_crossmsgs']}"
                 f" checkpoint_lag={health['checkpoint_lag']}"
             )
-        for report in diagnosis.get("stall_reports") or []:
-            quorum = report.get("quorum") or {}
-            if quorum.get("kind") == "vote-quorum":
-                lines.append(
-                    f"  {report['subnet']} quorum at h{quorum.get('height')}"
-                    f" r{quorum.get('round')}:"
-                    f" {quorum.get('held_power')}/{quorum.get('needed_power')}"
-                    f" power, silent={quorum.get('silent') or []}"
-                )
+        if diagnosis.get("stall_reports"):
+            from repro.telemetry.rounds import render_quorum
+
+            for report in diagnosis["stall_reports"]:
+                quorum = render_quorum(report.get("quorum") or {}, "    ")
+                if quorum:
+                    lines.append(f"  {report['subnet']}:")
+                    lines.extend(quorum)
         if self.flight_recorder is not None and self.flight_recorder.paths:
             lines.append(f"  postmortem: {self.flight_recorder.paths[-1]}")
         return "\n".join(lines)

@@ -75,8 +75,8 @@ class NodeRuntime:
         self._restart_epoch = 0  # invalidates pending restart resumes
         self._notified: set[CID] = {genesis_block.cid}  # blocks already announced
         # Protocol events (receipt events) per executed-but-not-yet-committed
-        # block, kept only while a commit-time observer (span tracer or
-        # invariant monitor) is installed on the simulator.
+        # block, kept only while something subscribes to ``block_commit``
+        # on the simulator's observation stream.
         self._block_events: dict[CID, tuple] = {}
 
         self.engine = make_engine(sim, self, validators, consensus_params)
@@ -356,7 +356,7 @@ class NodeRuntime:
         self.sim.metrics.gauge("state.tree.layer_depth").set(scratch.state.chain_depth)
 
         self.store.put_state(block.cid, scratch.state.fork())
-        if self.sim.span_tracer is not None or self.sim.invariant_monitor is not None:
+        if self.sim.observers.block_commit:
             self._block_events[block.cid] = tuple(events)
             # Forked/orphaned blocks are never announced, so cap the buffer
             # rather than letting dead entries accumulate forever.
@@ -392,9 +392,8 @@ class NodeRuntime:
                     break
                 depth += 1
             self.sim.metrics.histogram(f"chain.{self.subnet_id}.reorg.depth").observe(depth)
-            monitor = self.sim.invariant_monitor
-            if monitor is not None:
-                monitor.on_reorg(self, old_head, new_head_block, depth)
+            for observer in self.sim.observers.reorg:
+                observer(self, old_head, new_head_block, depth)
         # Newly canonical segment, oldest first.  Each block is announced to
         # commit listeners at most once ever, even across reorgs (listeners
         # receive no "un-commit" signal; fork-capable engines therefore act
@@ -415,14 +414,11 @@ class NodeRuntime:
                 "block.commit", self.subnet_id,
                 f"h={block.height}", block.cid.short(), f"msgs={len(block.messages)}",
             )
-            tracer = self.sim.span_tracer
-            monitor = self.sim.invariant_monitor
-            if tracer is not None or monitor is not None:
+            observers = self.sim.observers.block_commit
+            if observers:
                 events = self._block_events.pop(block.cid, ())
-                if tracer is not None:
-                    tracer.on_block_commit(self.subnet_id, self.node_id, block, events)
-                if monitor is not None:
-                    monitor.on_block_commit(self, block, events)
+                for observer in observers:
+                    observer(self, block, events)
             for listener in self._commit_listeners:
                 listener(block)
         self.mempool.drop_stale(self.vm.nonce_of)

@@ -16,6 +16,7 @@ from typing import Optional
 from repro.analysis.report import Table
 from repro.scenario.campaign import CAMPAIGN_SCHEMA
 from repro.scenario.spec import OK_VERDICTS
+from repro.telemetry.rounds import render_quorum
 
 
 def load_campaign(path: str) -> dict:
@@ -64,24 +65,9 @@ def _triage_detail(run: dict) -> str:
             f"  stall {stall['subnet']}: height {stall['height']} since "
             f"t={stall['since']:.2f}"
         )
-        quorum = (stall.get("report") or {}).get("quorum") or {}
-        if quorum.get("kind") == "vote-quorum":
-            missing = (
-                list(quorum.get("silent") or ())
-                + list(quorum.get("unreachable") or ())
-                + [m["voter"] for m in quorum.get("misaligned") or ()]
-            )
-            lines.append(
-                f"    quorum at h{quorum.get('height')} r{quorum.get('round')}: "
-                f"{quorum.get('held_power')}/{quorum.get('needed_power')} power; "
-                f"missing: {', '.join(missing) or '-'}"
-            )
-        elif quorum.get("kind") == "leader-schedule":
-            lines.append(
-                f"    slot engine: expected leader "
-                f"{quorum.get('expected_leader')}, head spread "
-                f"{quorum.get('head_spread')}"
-            )
+        lines.extend(
+            render_quorum((stall.get("report") or {}).get("quorum") or {}, "    ")
+        )
     for entry in run["fault_log"]:
         lines.append(
             f"  fault t={entry['time']:.2f} {entry['event']} {entry['kind']}"

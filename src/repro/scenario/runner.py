@@ -37,27 +37,25 @@ from repro.scenario.spec import (
     VERDICT_UNEXPECTED,
     Scenario,
 )
+from repro.telemetry import HealthProbe
 from repro.workloads import CrossNetWorkload, PaymentWorkload
 
 SPAM_FUNDS = 10**9
 
 
 class ProgressWatchdog:
-    """Liveness oracle: flags subnets whose best head stops advancing.
+    """Liveness oracle: a predicate over ``health`` observations.
 
-    Samples the *maximum* head height across each subnet's validators
-    (so a single crashed or partitioned laggard is not a stall — the
-    subnet as a whole must stop).  A stall is recorded once per
-    stagnation episode; progress re-arms the watchdog.  Read-only and
-    RNG-free, hence digest-neutral.
+    Flags a subnet whose sampled ``height`` — its best head, so a single
+    crashed or partitioned laggard is not a stall — stops rising for
+    ``stall_after`` simulated seconds, once per stagnation episode;
+    progress re-arms it.  The running HealthProbe sets its cadence.
+    Read-only and RNG-free, hence digest-neutral.
     """
 
-    def __init__(
-        self, system, stall_after: float = 10.0, interval: float = 1.0
-    ) -> None:
+    def __init__(self, system, stall_after: float = 10.0) -> None:
         self.system = system
         self.stall_after = stall_after
-        self.interval = interval
         self.stalls: list[dict] = []
         self._last: dict[str, tuple] = {}  # path -> (height, since)
         self._flagged: set[str] = set()
@@ -65,10 +63,7 @@ class ProgressWatchdog:
 
     def start(self) -> "ProgressWatchdog":
         if self._stop is None:
-            self._stop = self.system.sim.every(
-                self.interval, self._tick, label="scenario:watchdog",
-                on_error="log",
-            )
+            self._stop = self.system.sim.observers.subscribe("health", self._on_health)
         return self
 
     def stop(self) -> None:
@@ -79,14 +74,9 @@ class ProgressWatchdog:
     def stalled_subnets(self) -> list:
         return sorted({stall["subnet"] for stall in self.stalls})
 
-    def _tick(self) -> None:
-        now = self.system.sim.now
-        for subnet in self.system.subnets:
-            path = subnet.path
-            height = max(
-                node.head().height
-                for node in self.system.nodes_by_subnet[subnet]
-            )
+    def _on_health(self, latest: dict) -> None:
+        for path, sample in latest.items():
+            height, now = sample["height"], sample["time"]
             previous = self._last.get(path)
             if previous is None or height > previous[0]:
                 self._last[path] = (height, now)
@@ -184,11 +174,10 @@ class ScenarioRunner:
             checkpoint_period=spec.checkpoint_period,
         ).start()
         if self.monitors:
-            system.enable_telemetry(
-                monitors=True, postmortem_dir=self.postmortem_dir,
-                health_interval=1.0,
-            )
+            system.enable_telemetry(monitors=True, postmortem_dir=self.postmortem_dir)
             system.flight_recorder.label = self.scenario.name
+        # The watchdog's cadence, with or without monitors: 1 s health samples.
+        system.health_probe = HealthProbe(system, interval=1.0).start()
         for subnet in spec.subnets:
             system.spawn_subnet(
                 SubnetConfig(

@@ -9,6 +9,7 @@ bit-for-bit: identical seeds yield identical traces (see
 """
 
 from repro.sim.events import Event, EventQueue
+from repro.sim.observers import Observers
 from repro.sim.scheduler import Simulator
 from repro.sim.rng import SeedSequence, derive_seed
 from repro.sim.metrics import Counter, Gauge, Histogram, MetricsRegistry, TimeSeries
@@ -17,6 +18,7 @@ from repro.sim.tracing import TraceLog, TraceRecord
 __all__ = [
     "Event",
     "EventQueue",
+    "Observers",
     "Simulator",
     "SeedSequence",
     "derive_seed",

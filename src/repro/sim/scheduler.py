@@ -1,4 +1,10 @@
-"""The discrete-event simulator driving every run in this reproduction."""
+"""The discrete-event simulator driving every run in this reproduction.
+
+Observation planes never reach into the simulator through attributes of
+their own: they subscribe to :attr:`Simulator.observers`
+(:mod:`repro.sim.observers`), which the :class:`DispatchBus` and every
+protocol-layer emitter feed.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +15,7 @@ from typing import Any, Callable, Optional
 
 from repro.sim.events import Event, EventQueue
 from repro.sim.metrics import MetricsRegistry
+from repro.sim.observers import Observers
 from repro.sim.rng import SeedSequence
 from repro.sim.tracing import TraceLog
 
@@ -44,15 +51,16 @@ class DispatchBus:
 
     Every event executed by the :class:`Simulator` flows through this bus,
     which records per-label dispatch counts and cumulative/max wall-clock
-    timings (label falls back to the callback's ``__name__``), and exposes
-    pre/post-dispatch hooks:
+    timings (label falls back to the callback's ``__name__``), and emits
+    two kinds on the simulator's :class:`~repro.sim.observers.Observers`:
 
-    - *pre-dispatch* hooks run before the event fires and may call
+    - ``dispatch_pre(event)`` runs before the event fires and may call
       ``event.cancel()`` to suppress it — the fault-injection point for
       dropping timers, consensus steps or deliveries without touching the
       component under test;
-    - *post-dispatch* hooks run after the event fired (even if the callback
-      raised) with the elapsed wall-clock seconds — the profiling point.
+    - ``dispatch_post(event, elapsed)`` runs after the event fired (even if
+      the callback raised) with the elapsed wall-clock seconds — the
+      profiling point.
 
     While an event's callback runs, its label is readable through
     :func:`current_dispatch_label` (per executing thread, nesting-aware) —
@@ -72,54 +80,22 @@ class DispatchBus:
     ) -> None:
         self.metrics = metrics
         self.trace = trace
+        self.observers = Observers()
         self.counts: dict[str, int] = {}
         self.wall_seconds: dict[str, float] = {}
         self.max_wall_seconds: dict[str, float] = {}
         self.suppressed: dict[str, int] = {}
-        self._pre_hooks: list[Callable[[Event], None]] = []
-        self._post_hooks: list[Callable[[Event, float], None]] = []
-        # Tuple snapshots iterated by dispatch(): registration is rare but
-        # dispatch runs per event, so snapshotting at mutation time replaces
-        # a defensive list copy on every single event.
-        self._pre_snapshot: tuple = ()
-        self._post_snapshot: tuple = ()
 
     @staticmethod
     def label_of(event: Event) -> str:
         return event.label or getattr(event.callback, "__name__", "?")
 
-    # -- hooks ----------------------------------------------------------
-    def on_pre_dispatch(self, hook: Callable[[Event], None]) -> Callable[[], None]:
-        """Register *hook* to run before each event fires; returns a remover."""
-        self._pre_hooks.append(hook)
-        self._pre_snapshot = tuple(self._pre_hooks)
-
-        def _remove() -> None:
-            if hook in self._pre_hooks:
-                self._pre_hooks.remove(hook)
-                self._pre_snapshot = tuple(self._pre_hooks)
-
-        return _remove
-
-    def on_post_dispatch(
-        self, hook: Callable[[Event, float], None]
-    ) -> Callable[[], None]:
-        """Register *hook* to run after each event fires; returns a remover."""
-        self._post_hooks.append(hook)
-        self._post_snapshot = tuple(self._post_hooks)
-
-        def _remove() -> None:
-            if hook in self._post_hooks:
-                self._post_hooks.remove(hook)
-                self._post_snapshot = tuple(self._post_hooks)
-
-        return _remove
-
     # -- dispatch -------------------------------------------------------
     def dispatch(self, event: Event) -> Any:
-        """Fire *event* through the hooks, recording counts and timings."""
+        """Fire *event* between its observers, recording counts and timings."""
         label = event.label or getattr(event.callback, "__name__", "?")
-        for hook in self._pre_snapshot:
+        observers = self.observers
+        for hook in observers.dispatch_pre:
             hook(event)
         if event.cancelled:
             self.suppressed[label] = self.suppressed.get(label, 0) + 1
@@ -138,7 +114,7 @@ class DispatchBus:
             self.wall_seconds[label] = self.wall_seconds.get(label, 0.0) + elapsed
             if elapsed > self.max_wall_seconds.get(label, 0.0):
                 self.max_wall_seconds[label] = elapsed
-            for hook in self._post_snapshot:
+            for hook in observers.dispatch_post:
                 hook(event, elapsed)
 
     # -- reporting ------------------------------------------------------
@@ -173,7 +149,7 @@ class DispatchBus:
         return registry
 
     def reset(self) -> None:
-        """Clear accumulated statistics (hooks stay registered)."""
+        """Clear accumulated statistics (observers stay subscribed)."""
         self.counts.clear()
         self.wall_seconds.clear()
         self.max_wall_seconds.clear()
@@ -186,8 +162,10 @@ class Simulator:
     The simulator owns the simulated clock (:attr:`now`, in seconds), the
     event queue, the root :class:`~repro.sim.rng.SeedSequence` from which all
     component RNGs are derived, a :class:`~repro.sim.metrics.MetricsRegistry`,
-    a :class:`~repro.sim.tracing.TraceLog` and a :class:`DispatchBus` through
-    which every executed event flows.
+    a :class:`~repro.sim.tracing.TraceLog`, the
+    :class:`~repro.sim.observers.Observers` stream that observation planes
+    subscribe to, and a :class:`DispatchBus` through which every executed
+    event flows.
 
     Typical use::
 
@@ -221,17 +199,9 @@ class Simulator:
         self.metrics = MetricsRegistry(clock=lambda: self.now)
         self.trace = TraceLog(clock=lambda: self.now)
         self.dispatch = DispatchBus(metrics=self.metrics, trace=self.trace)
-        # Slot for a repro.telemetry.SpanTracer (duck-typed so sim/ never
-        # imports the telemetry layer).  None = span tracing disabled; the
-        # tracer writes only to self.metrics, never to the trace log, so
-        # installing one cannot perturb the determinism digest.
-        self.span_tracer = None
-        # Sibling slot for a repro.telemetry.InvariantMonitor, under the
-        # same contract: duck-typed, metrics-only, digest-neutral.
-        self.invariant_monitor = None
-        # Sibling slot for a repro.telemetry.RoundTracer: consensus
-        # engines feed round/view transitions here (same contract).
-        self.round_tracer = None
+        # The observation stream every plane subscribes to (spans, monitors,
+        # rounds, recorder, health, profiler); see repro.sim.observers.
+        self.observers = self.dispatch.observers
         # Scratch space for cross-component memoization of deterministic
         # computations (e.g. the runtime's shared block-execution cache).
         # Contents must never influence observable simulation behaviour —

@@ -68,8 +68,6 @@ def telemetry_snapshot(
         snapshot["invariants"] = monitor.summary()
     if profiler is not None:
         snapshot["profile"] = profiler.snapshot()
-    if rounds is None:
-        rounds = getattr(sim, "round_tracer", None)
     if rounds is not None:
         snapshot["rounds"] = rounds.summary()
     if extra:
@@ -333,8 +331,8 @@ def to_chrome_trace(
     process: per-label sampled-CPU slices (samples × interval laid
     end-to-end, top leaf frames in the args) and an RSS counter track on
     the profiler's real wall-clock timeline.  A
-    :class:`~repro.telemetry.rounds.RoundTracer` (passed explicitly or
-    found on ``sim.round_tracer``) adds a fourth process: one track per
+    :class:`~repro.telemetry.rounds.RoundTracer` (``rounds``, e.g.
+    ``system.round_tracer``) adds a fourth process: one track per
     validator carrying its consensus rounds as slices (``h12 r0`` …) with
     votes, locks, timeouts and commits as instant events inside them.
     """
@@ -457,8 +455,6 @@ def to_chrome_trace(
                 "args": {"bytes": rss},
             })
 
-    if rounds is None:
-        rounds = getattr(sim, "round_tracer", None)
     if rounds is not None:
         events.extend(_round_events(rounds))
     return {"traceEvents": events, "displayTimeUnit": "ms"}

@@ -4,10 +4,10 @@ The paper's safety claims — the §II firewall bound, checkpoint-chain
 integrity (§III-B) and exactly-once cross-net application (§IV-A) — are
 checked after the fact by :func:`repro.hierarchy.firewall.audit_system`
 and the test suite.  :class:`InvariantMonitor` checks them *while the
-simulation runs*: it sits on the ``sim.invariant_monitor`` slot (the same
-duck-typed observer slot family as ``sim.span_tracer``) and is fed every
-newly-canonical block, its receipt events, and every reorg by
-:class:`~repro.runtime.node.NodeRuntime`.
+simulation runs*: it subscribes to the ``block_commit`` and ``reorg`` kinds
+of the simulator's observation stream (``sim.observers``, right after the
+span tracer), through which :class:`~repro.runtime.node.NodeRuntime` emits
+every newly-canonical block, its receipt events, and every reorg.
 
 Five auditors ship by default:
 
@@ -91,8 +91,8 @@ class Auditor:
 class InvariantMonitor:
     """Registry of auditors fed from commit-time events.
 
-    Install with :meth:`install` (sets ``sim.invariant_monitor``); every
-    node then feeds it alongside the span tracer.  ``system`` is the
+    :meth:`install` subscribes it to ``sim.observers``; every node then
+    feeds it alongside the span tracer.  ``system`` is the
     :class:`~repro.hierarchy.network.HierarchicalSystem` under audit —
     auditors that need cross-subnet state (supply, membership) no-op
     without it, so a bare ``InvariantMonitor(sim=sim, auditors=[...])``
@@ -131,21 +131,28 @@ class InvariantMonitor:
         self.violations: list[InvariantViolation] = []
         self._seen: set = set()
         self._commit_counts: dict[str, int] = {}
+        self._removers: tuple = ()
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def install(self) -> "InvariantMonitor":
-        """Attach to the simulator; nodes start feeding commits at once."""
-        self.sim.invariant_monitor = self
+        """Subscribe to commits and reorgs (idempotent)."""
+        if not self._removers:
+            observers = self.sim.observers
+            self._removers = (
+                observers.subscribe("block_commit", self.on_block_commit),
+                observers.subscribe("reorg", self.on_reorg),
+            )
         return self
 
     def uninstall(self) -> None:
-        if self.sim.invariant_monitor is self:
-            self.sim.invariant_monitor = None
+        for remove in self._removers:
+            remove()
+        self._removers = ()
 
     # ------------------------------------------------------------------
-    # Feed (duck-typed calls from NodeRuntime)
+    # Feed (the block_commit and reorg observation kinds)
     # ------------------------------------------------------------------
     def on_block_commit(self, node, block, events) -> None:
         for auditor in self.auditors:

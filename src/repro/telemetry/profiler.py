@@ -11,8 +11,8 @@ this module says *why*.  Three pillars, all observers of the simulation:
   CPU shares (they sum to 1.0 by construction) and collapsed stacks in
   flamegraph format.
 - **Allocation / memory accountant** — with ``memory=True``, tracemalloc
-  traced-byte deltas are bucketed per dispatch label through the bus's
-  pre/post-dispatch hooks, and a whole-run top-allocation-site table is
+  traced-byte deltas are bucketed per dispatch label through the
+  ``dispatch_pre``/``dispatch_post`` observation kinds, and a whole-run top-allocation-site table is
   captured at stop.  Independently of tracemalloc, the sampler records a
   periodic whole-process RSS series and O(1) allocated-block counts.
 - **Exporters** — :meth:`SamplingProfiler.snapshot` is the
@@ -235,7 +235,7 @@ class SamplingProfiler:
         return tuple(stack)
 
     # ------------------------------------------------------------------
-    # Memory accounting (dispatch-label buckets via the bus hooks)
+    # Memory accounting (dispatch-label buckets via dispatch observations)
     # ------------------------------------------------------------------
     def _install_memory_hooks(self) -> None:
         bus = self.sim.dispatch
@@ -259,8 +259,9 @@ class SamplingProfiler:
                 self._alloc_bytes[label] = self._alloc_bytes.get(label, 0) + delta
             self._alloc_events[label] = self._alloc_events.get(label, 0) + 1
 
-        self._remove_hooks.append(bus.on_pre_dispatch(pre))
-        self._remove_hooks.append(bus.on_post_dispatch(post))
+        observers = self.sim.observers
+        self._remove_hooks.append(observers.subscribe("dispatch_pre", pre))
+        self._remove_hooks.append(observers.subscribe("dispatch_post", post))
 
     # ------------------------------------------------------------------
     # Results

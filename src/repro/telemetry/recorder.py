@@ -12,9 +12,9 @@ head.  Render a bundle with ``python -m repro.telemetry.postmortem``.
 Determinism: everything stored in a bundle body is simulated time or
 committed state — never wall-clock, never RNG — so producing bundles
 cannot perturb the run and re-running a seed reproduces the bundle
-byte-for-byte.  The recorder observes the dispatch bus through a
-post-dispatch hook that only appends to a Python deque; it writes nothing
-back into the simulation.
+byte-for-byte.  The recorder subscribes to ``dispatch_post`` and
+``health`` observations, and both feeds only append to a Python deque; it
+writes nothing back into the simulation.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class FlightRecorder:
         )
         self._dispatch_ring: deque = deque(maxlen=capacity)
         self._health_ring: deque = deque(maxlen=32)
-        self._remove_hook = None
+        self._removers: tuple = ()
         self.bundles: list[dict] = []
         self.paths: list[str] = []
 
@@ -76,15 +76,14 @@ class FlightRecorder:
     # Lifecycle
     # ------------------------------------------------------------------
     def install(self) -> "FlightRecorder":
-        """Start recording dispatch activity (idempotent)."""
-        if self._remove_hook is None:
-            self._remove_hook = self.sim.dispatch.on_post_dispatch(self._on_dispatch)
+        """Start recording dispatch activity and health samples (idempotent)."""
+        if not self._removers:
+            observers = self.sim.observers
+            self._removers = (
+                observers.subscribe("dispatch_post", self._on_dispatch),
+                observers.subscribe("health", self.note_health),
+            )
         return self
-
-    def uninstall(self) -> None:
-        if self._remove_hook is not None:
-            self._remove_hook()
-            self._remove_hook = None
 
     # ------------------------------------------------------------------
     # Feeds
@@ -95,7 +94,7 @@ class FlightRecorder:
         self._dispatch_ring.append((self.sim.now, self.sim.dispatch.label_of(event)))
 
     def note_health(self, latest: dict) -> None:
-        """Hooked to ``HealthProbe.on_sample``; copies the latest samples."""
+        """The ``health`` observation kind; copies the latest samples."""
         self._health_ring.append(
             {path: dict(sample) for path, sample in latest.items()}
         )
@@ -117,7 +116,7 @@ class FlightRecorder:
         quorum, not just the stuck heights.
         """
         sim = self.sim
-        monitor = getattr(sim, "invariant_monitor", None)
+        monitor = self.system.invariant_monitor if self.system is not None else None
         bundle = {
             "schema": _SCHEMA,
             "reason": reason or ("invariant-violation" if violation else "on-demand"),
@@ -155,7 +154,7 @@ class FlightRecorder:
         return bundle
 
     def _open_spans(self, cap: int = 64) -> list:
-        tracer = getattr(self.sim, "span_tracer", None)
+        tracer = self.system.span_tracer if self.system is not None else None
         if tracer is None:
             return []
         spans = []

@@ -1,14 +1,12 @@
 """Consensus-round tracing and quorum-aware stall diagnosis.
 
-Observability so far stops at *committed blocks*: span tracing (PR 2),
-invariant auditors (PR 3) and the CPU profiler (PR 6) all watch the
+Span tracing, invariant auditors and the CPU profiler all watch the
 chain, never the rounds that produce it.  This module watches the rounds.
 
-:class:`RoundTracer` installs on the simulator's duck-typed
-``sim.round_tracer`` slot (the ``span_tracer`` / ``invariant_monitor``
-pattern: sim/ never imports telemetry, ``None`` = disabled) and is fed by
-every consensus engine through
-:meth:`~repro.consensus.base.ConsensusEngine._trace_round` at each
+:class:`RoundTracer` subscribes to the ``round`` kind of the simulator's
+observation stream (``sim.observers``; sim/ and consensus/ never import
+telemetry, no subscriber = disabled), which every consensus engine emits
+through :meth:`~repro.consensus.base.ConsensusEngine._trace_round` at each
 round/view transition — round start, proposal, vote arrival, lock,
 commit, timeout, round skip — with the leader identity attached.  It
 produces:
@@ -64,8 +62,8 @@ EVENT_KINDS = (
 class RoundTracer:
     """Collects per-validator consensus-round events from every engine.
 
-    Install with :meth:`install` (sets ``sim.round_tracer``); engines feed
-    it via ``ConsensusEngine._trace_round``.  Metrics-only writes keep it
+    :meth:`install` subscribes it to ``round`` observations, which engines
+    emit via ``ConsensusEngine._trace_round``.  Metrics-only writes keep it
     digest-neutral; timelines live in bounded per-validator rings.
     """
 
@@ -86,21 +84,24 @@ class RoundTracer:
         self._round_started: dict[tuple, float] = {}
         # per-subnet counts for summary()
         self._counts: dict[str, dict] = {}
+        self._remove = None
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def install(self) -> "RoundTracer":
-        """Attach to the simulator; engines start feeding at once."""
-        self.sim.round_tracer = self
+        """Subscribe to round observations (idempotent)."""
+        if self._remove is None:
+            self._remove = self.sim.observers.subscribe("round", self.on_round_event)
         return self
 
     def uninstall(self) -> None:
-        if getattr(self.sim, "round_tracer", None) is self:
-            self.sim.round_tracer = None
+        if self._remove is not None:
+            self._remove()
+            self._remove = None
 
     # ------------------------------------------------------------------
-    # Feed (called by ConsensusEngine._trace_round)
+    # Feed (the round observation kind)
     # ------------------------------------------------------------------
     def on_round_event(
         self, subnet: str, node_id: str, kind: str, time: float, fields: dict
@@ -279,7 +280,7 @@ class StallDiagnoser:
             "quorum": self._missing_quorum(nodes, validators),
             "network": self._network_state(nodes),
         }
-        tracer = getattr(system.sim, "round_tracer", None)
+        tracer = system.round_tracer
         if tracer is not None:
             report["frontier"] = tracer.frontier(subnet.path)
             report["recent_events"] = {
@@ -307,8 +308,13 @@ class StallDiagnoser:
         validator in the set is *silent* when it holds no vote at that
         height anywhere in the books, and *misaligned* when its votes
         exist but only at rounds other than the busiest one (the
-        round-desync signature).  Slot engines have no votes — for them
-        the analysis reports the expected leader instead.
+        round-desync signature).  Power is *held* only by voters agreeing
+        on one value (nil counts as a value): when the best view's votes
+        are split, ``split`` lists each value's voters and power and
+        ``locks`` each validator's lock — the split-lock signature, where
+        every vote arrived and still no value has a quorum.  Slot engines
+        have no votes — for them the analysis reports the expected leader
+        instead.
         """
         engine = nodes[0].engine
         vset = engine.validators
@@ -348,7 +354,7 @@ class StallDiagnoser:
         # across a partition — a union that looks complete while no node
         # holds a quorum is exactly the partition signature).
         union = {"prevote": {}, "precommit": {}}
-        views = []  # (held_power, round, observer, voters)
+        views = []  # (held_power, round, observer, voters, split)
         current_round = None
         for v in validators:
             state = v["state"]
@@ -367,9 +373,20 @@ class StallDiagnoser:
                     for voter, cid in book.items():
                         target.setdefault(voter, cid)
                     if vote_type == "prevote":
+                        # [value, voters, power] per distinct value (nil
+                        # included), heaviest first: only agreeing power
+                        # is held.
+                        groups: dict = {}
+                        for voter, value in book.items():
+                            groups.setdefault(value, []).append(voter)
+                        split = sorted(
+                            ([value, sorted(vs), vset.power_of(vs)]
+                             for value, vs in groups.items()),
+                            key=lambda entry: (-entry[2], entry[0] or ""),
+                        )
                         views.append((
-                            vset.power_of(book), int(round_str),
-                            v["node"], sorted(book),
+                            split[0][2] if split else 0, int(round_str),
+                            v["node"], sorted(book), split,
                         ))
         # Anchor on the round the subnet is stuck at NOW (a historical
         # round may show a full prevote quorum that still failed at
@@ -393,7 +410,9 @@ class StallDiagnoser:
                     voted_rounds.setdefault(voter, set()).add(round_)
 
         members = [v.node_id for v in vset]
-        held, busiest, observer, voted = best if best else (0, None, None, [])
+        held, busiest, observer, voted, split = (
+            best if best else (0, None, None, [], [])
+        )
         missing = [m for m in members if m not in voted]
         unreachable, misaligned, silent = [], [], []
         for m in missing:
@@ -420,6 +439,12 @@ class StallDiagnoser:
             "misaligned": misaligned,
             "rounds_active": sorted(union["prevote"]),
         })
+        if len(split) > 1:
+            result["split"] = split
+            result["locks"] = {
+                v["node"]: [v["state"].get("locked"), v["state"].get("locked_round")]
+                for v in validators
+            }
         return result
 
     # ------------------------------------------------------------------
@@ -460,42 +485,53 @@ class StallDiagnoser:
         }
 
 
+def render_quorum(quorum: dict, indent: str = "") -> list:
+    """Lines naming a stall report's missing quorum (or slot leader).
+
+    The one renderer of the ``quorum`` section: stall reports, campaign
+    triage and ``wait_for`` timeout messages all print it through here.
+    """
+    if quorum.get("kind") == "leader-schedule":
+        return [
+            f"{indent}slot engine: expected leader {quorum.get('expected_leader')}, "
+            f"head spread {quorum.get('head_spread')}"
+        ]
+    if quorum.get("kind") != "vote-quorum":
+        return []
+    details = (
+        ("voted", ", ".join(quorum.get("voted") or ())),
+        ("unreachable (voted, but the vote never arrived)",
+         ", ".join(quorum.get("unreachable") or ())),
+        ("silent", ", ".join(quorum.get("silent") or ())),
+        ("misaligned", ", ".join(
+            f"{m['voter']} at rounds {m['rounds']}" for m in quorum.get("misaligned") or ()
+        )),
+        ("split", "; ".join(
+            f"{value or 'nil'} from {', '.join(voters)} ({power} power)"
+            for value, voters, power in quorum.get("split") or ()
+        )),
+        ("locked", ", ".join(
+            f"{node} on {locked} since r{locked_round}"
+            for node, (locked, locked_round) in (quorum.get("locks") or {}).items()
+            if locked is not None
+        )),
+        ("rounds with votes", quorum.get("rounds_active")),
+    )
+    return [
+        f"{indent}quorum at h{quorum.get('height')} r{quorum.get('round')}: "
+        f"{quorum.get('held_power')}/{quorum.get('needed_power')} power "
+        f"(of {quorum.get('total_power')}) — short {quorum.get('missing_power')}, "
+        f"best view {quorum.get('observer')}"
+    ] + [f"{indent}  {label}: {text}" for label, text in details if text]
+
+
 def render_stall_report(report: dict) -> str:
     """Human-readable multi-line view of one stall report."""
     out = [
         f"stall report: {report.get('subnet')} "
         f"engine={report.get('engine')} t={report.get('time')}"
     ]
-    quorum = report.get("quorum") or {}
-    if quorum.get("kind") == "vote-quorum":
-        out.append(
-            f"  best view ({quorum.get('observer')}) at height "
-            f"{quorum.get('height')} round {quorum.get('round')}: "
-            f"{quorum.get('held_power')}/{quorum.get('needed_power')} power "
-            f"(of {quorum.get('total_power')}) — "
-            f"short {quorum.get('missing_power')}"
-        )
-        if quorum.get("voted"):
-            out.append(f"  voted:       {', '.join(quorum['voted'])}")
-        if quorum.get("unreachable"):
-            out.append(
-                f"  unreachable: {', '.join(quorum['unreachable'])}"
-                " (voted, but the vote never arrived)"
-            )
-        if quorum.get("silent"):
-            out.append(f"  silent:      {', '.join(quorum['silent'])}")
-        for entry in quorum.get("misaligned") or []:
-            out.append(
-                f"  misaligned: {entry['voter']} voted at rounds "
-                f"{entry['rounds']}"
-            )
-        if quorum.get("rounds_active"):
-            out.append(f"  rounds with votes: {quorum['rounds_active']}")
-    elif quorum.get("kind") == "leader-schedule":
-        out.append(
-            f"  slot engine: expected leader {quorum.get('expected_leader')}, "
-            f"head spread {quorum.get('head_spread')}"
-        )
+    out.extend(render_quorum(report.get("quorum") or {}, "  "))
     for v in report.get("validators") or []:
         state = v.get("state") or {}
         detail = " ".join(

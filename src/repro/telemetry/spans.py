@@ -28,8 +28,9 @@ Hop latencies land as simulated-time histograms on the simulator's
   commit; ``checkpoint.hop.seal_to_submit`` / ``.submit_to_commit`` split
   the signature-gathering wait from the parent-chain inclusion wait.
 
-Determinism: the tracer is installed on ``sim.span_tracer`` and is fed at
-block-commit time by every node.  Observations are deduplicated on
+Determinism: the tracer subscribes to the simulator's observation stream
+(``block_commit`` and ``checkpoint_submit`` on ``sim.observers``), so it is
+fed at block-commit time by every node.  Observations are deduplicated on
 ``(trace id, phase, subnet)`` — the first committing node wins, which is
 deterministic on a deterministic simulator.  The tracer writes **only**
 to ``sim.metrics``; it never touches ``sim.trace``, so the determinism
@@ -69,7 +70,7 @@ class SpanEvent:
 class SpanTracer:
     """Collects causal cross-net spans from committed-block receipt events.
 
-    Install with :meth:`install` (sets ``sim.span_tracer``); every
+    :meth:`install` subscribes it to ``sim.observers``; every
     :class:`~repro.runtime.node.NodeRuntime` then feeds it newly-canonical
     blocks via :meth:`on_block_commit`.
     """
@@ -86,18 +87,25 @@ class SpanTracer:
         self._seen: set = set()
         # (source, to_subnet, to_addr, value) -> FIFO of submission times
         self._pending_submits: dict[tuple, deque] = {}
+        self._removers: tuple = ()
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def install(self) -> "SpanTracer":
-        """Attach to the simulator; nodes start feeding commits at once."""
-        self.sim.span_tracer = self
+        """Subscribe to commits and checkpoint submissions (idempotent)."""
+        if not self._removers:
+            observers = self.sim.observers
+            self._removers = (
+                observers.subscribe("block_commit", self.on_block_commit),
+                observers.subscribe("checkpoint_submit", self.checkpoint_submitted),
+            )
         return self
 
     def uninstall(self) -> None:
-        if self.sim.span_tracer is self:
-            self.sim.span_tracer = None
+        for remove in self._removers:
+            remove()
+        self._removers = ()
 
     # ------------------------------------------------------------------
     # Submission notes (trace-context origination)
@@ -118,7 +126,8 @@ class SpanTracer:
     # ------------------------------------------------------------------
     # Commit-time feed (called by every node; first observation wins)
     # ------------------------------------------------------------------
-    def on_block_commit(self, subnet_id: str, node_id: str, block, events) -> None:
+    def on_block_commit(self, node, block, events) -> None:
+        subnet_id = node.subnet_id
         now = self.sim.now
         for kind, payload in events:
             if kind == "crossmsg.topdown" or kind == "crossmsg.bottomup":
@@ -141,8 +150,8 @@ class SpanTracer:
                 self._observe_ckpt(ckpt_hex, "commit", subnet_id, now, child=child_path)
 
     def checkpoint_submitted(self, ckpt_hex: str, subnet: str, window: int) -> None:
-        """Called by the checkpoint service when a validator submits to the
-        parent SA (designated submitter or fallback; first one wins)."""
+        """A validator submitted a checkpoint to the parent SA (designated
+        submitter or fallback; first one wins)."""
         key = (ckpt_hex, "submit")
         if key in self._seen:
             return

@@ -1,8 +1,8 @@
 """Every engine feeds the round tracer; Tendermint's hard paths too.
 
-The tracer is duck-typed (``sim.round_tracer``), so these tests install a
-real :class:`~repro.telemetry.rounds.RoundTracer` on the cluster simulator
-and assert the engines narrate their round/slot machinery into it —
+Engines emit ``round`` observations on ``sim.observers``, so these tests
+subscribe a real :class:`~repro.telemetry.rounds.RoundTracer` on the
+cluster simulator and assert the engines narrate their round/slot machinery into it —
 including the paths that only fire under faults: propose timeouts and the
 f+1 round catch-up skip.
 """

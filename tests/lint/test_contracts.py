@@ -136,16 +136,15 @@ def test_local_metric_alias_is_recognised():
     assert site.detail == "gauge"
 
 
-def test_dispatch_labels_and_simulator_slots():
+def test_dispatch_labels():
     graph = graph_of(
         "def install(sim, tracer, fn):\n"
-        "    sim.round_tracer = tracer\n"
+        "    sim.observers.subscribe('round', tracer)\n"
         "    sim.schedule(1.0, fn, label='tick:block')\n"
-        "    return getattr(sim, 'round_tracer', None)\n"
     )
     assert [s.pattern for s in graph.dispatch_labels] == ["tick:block"]
-    assert [s.pattern for s in graph.slot_writes] == ["round_tracer"]
-    assert [s.pattern for s in graph.slot_reads] == ["round_tracer"]
+    # Observers subscribe through sim.observers; there is no slot section.
+    assert "slots" not in graph.to_json()
 
 
 def test_catalog_extracted_with_kind_detail():

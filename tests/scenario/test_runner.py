@@ -3,8 +3,9 @@ monitor-vs-attack integration pair from the scenario library."""
 
 import os
 
+from repro.hierarchy import HierarchicalSystem
 from repro.scenario import library
-from repro.scenario.faults import CrashFault, PartitionFault, Trigger
+from repro.scenario.faults import CrashFault, Trigger
 from repro.scenario.runner import ProgressWatchdog, ScenarioRunner
 from repro.scenario.spec import (
     Expectation,
@@ -15,14 +16,18 @@ from repro.scenario.spec import (
     WorkloadSpec,
 )
 from repro.sim.scheduler import Simulator
+from repro.telemetry import HealthProbe
 
 
 # ----------------------------------------------------------------------
-# Watchdog (stub system, real simulator)
+# Watchdog (stub system, real simulator, real health sampling)
 # ----------------------------------------------------------------------
 class _StubSubnet:
     def __init__(self, path):
         self.path = path
+
+    def __lt__(self, other):
+        return self.path < other.path
 
 
 class _StubHead:
@@ -37,6 +42,7 @@ class _StubHead:
 class _StubNode:
     def __init__(self, owner):
         self._head = _StubHead(owner)
+        self.mempool = ()
 
     def head(self):
         return self._head
@@ -51,17 +57,24 @@ class _StubChain:
 
 
 def _watchdog_rig(stall_after=3.0):
+    """The watchdog fed by a real 1 s HealthProbe over stub chains; the
+    vitals come from the real ``HierarchicalSystem.health_snapshot``."""
     sim = Simulator(seed=1)
     chain = _StubChain(sim, "/root/s0")
 
     class System:
-        pass
+        health_snapshot = HierarchicalSystem.health_snapshot
+        _checkpoint_lag = HierarchicalSystem._checkpoint_lag
+
+        @property
+        def subnets(self):
+            return sorted(self.nodes_by_subnet)
 
     system = System()
     system.sim = sim
-    system.subnets = [chain.subnet]
     system.nodes_by_subnet = {chain.subnet: [chain.node]}
-    watchdog = ProgressWatchdog(system, stall_after=stall_after, interval=1.0)
+    HealthProbe(system, interval=1.0).start()
+    watchdog = ProgressWatchdog(system, stall_after=stall_after)
     return sim, chain, watchdog
 
 
@@ -89,7 +102,8 @@ def test_watchdog_tracks_the_best_head_not_the_laggard():
     sim, chain, watchdog = _watchdog_rig(stall_after=3.0)
     laggard = _StubChain(sim, "/root/s0")  # height pinned at 0
     subnet = chain.subnet
-    watchdog.system.nodes_by_subnet[subnet] = [chain.node, laggard.node]
+    # The laggard is validator 0: the sampled height must still advance.
+    watchdog.system.nodes_by_subnet[subnet] = [laggard.node, chain.node]
     watchdog.start()
     sim.every(1.0, lambda: setattr(chain, "height", chain.height + 1))
     sim.run_until(12.0)

@@ -29,7 +29,8 @@ def test_dispatch_label_falls_back_to_callback_name():
 
 
 def test_pre_dispatch_hook_sees_events_and_can_suppress():
-    """A pre-dispatch hook cancelling the event is the fault-injection point."""
+    """A dispatch_pre observer cancelling the event is the fault-injection
+    point."""
     sim = Simulator()
     fired = []
     seen = []
@@ -39,7 +40,7 @@ def test_pre_dispatch_hook_sees_events_and_can_suppress():
         if event.label == "net:deliver":
             event.cancel()
 
-    remove = sim.dispatch.on_pre_dispatch(drop_deliveries)
+    remove = sim.observers.subscribe("dispatch_pre", drop_deliveries)
     sim.schedule(1.0, lambda: fired.append("a"), label="net:deliver")
     sim.schedule(2.0, lambda: fired.append("b"), label="tick")
     sim.run()
@@ -58,8 +59,9 @@ def test_pre_dispatch_hook_sees_events_and_can_suppress():
 def test_post_dispatch_hook_receives_elapsed_and_runs_on_error():
     sim = Simulator()
     observed = []
-    sim.dispatch.on_post_dispatch(
-        lambda event, elapsed: observed.append((sim.dispatch.label_of(event), elapsed))
+    sim.observers.subscribe(
+        "dispatch_post",
+        lambda event, elapsed: observed.append((sim.dispatch.label_of(event), elapsed)),
     )
     sim.schedule(1.0, lambda: None, label="ok")
 
@@ -110,7 +112,7 @@ def test_publish_without_registry_raises():
 def test_reset_clears_statistics_but_keeps_hooks():
     sim = Simulator()
     calls = []
-    sim.dispatch.on_pre_dispatch(lambda event: calls.append(event.label))
+    sim.observers.subscribe("dispatch_pre", lambda event: calls.append(event.label))
     sim.schedule(1.0, lambda: None, label="tick")
     sim.run()
     sim.dispatch.reset()
@@ -180,8 +182,8 @@ def test_current_dispatch_label_not_set_for_suppressed_events():
 
     sim = Simulator()
     seen = []
-    sim.dispatch.on_pre_dispatch(
-        lambda event: event.cancel() if event.label == "drop" else None
+    sim.observers.subscribe(
+        "dispatch_pre", lambda event: event.cancel() if event.label == "drop" else None
     )
     sim.schedule(1.0, lambda: seen.append(current_dispatch_label()), label="drop")
     sim.schedule(2.0, lambda: seen.append(current_dispatch_label()), label="keep")

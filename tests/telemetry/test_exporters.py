@@ -9,6 +9,7 @@ Regenerate with ``UPDATE_GOLDENS=1 pytest tests/telemetry/test_exporters.py``.
 import json
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 from repro.sim.scheduler import Simulator
 from repro.telemetry import (
@@ -28,6 +29,10 @@ MSG_B = "bb" * 16
 CKPT = "cc" * 16
 
 
+def _node(subnet_id, node_id):
+    return SimpleNamespace(subnet_id=subnet_id, node_id=node_id)
+
+
 def _synthetic():
     """One delivered top-down transfer, one failed bottom-up message, one
     fully-anchored checkpoint — all at hand-picked simulated times."""
@@ -37,26 +42,26 @@ def _synthetic():
     sim.now = 1.0
     tracer.note_submit("/root", "/root/a", "addr-1", 100)
     sim.now = 2.0
-    tracer.on_block_commit("/root", "n0", None, [
+    tracer.on_block_commit(_node("/root", "n0"), None, [
         ("crossmsg.topdown", ("/root/a", 0, 100, MSG_A, "/root/a", "addr-1", "user")),
     ])
     sim.now = 3.5
-    tracer.on_block_commit("/root/a", "m0", None, [
+    tracer.on_block_commit(_node("/root/a", "m0"), None, [
         ("crossmsg.delivered", ("addr-1", 100, MSG_A)),
         ("checkpoint.sealed", (0, CKPT)),
     ])
     sim.now = 3.75
     tracer.checkpoint_submitted(CKPT, "/root/a", 0)
     sim.now = 4.5
-    tracer.on_block_commit("/root", "n0", None, [
+    tracer.on_block_commit(_node("/root", "n0"), None, [
         ("checkpoint.committed", ("/root/a", CKPT)),
     ])
     sim.now = 5.0
-    tracer.on_block_commit("/root/a", "m0", None, [
+    tracer.on_block_commit(_node("/root/a", "m0"), None, [
         ("crossmsg.bottomup", (0, 0, 50, MSG_B, "/root", "addr-2", "user")),
     ])
     sim.now = 6.0
-    tracer.on_block_commit("/root", "n0", None, [
+    tracer.on_block_commit(_node("/root", "n0"), None, [
         ("crossmsg.failed", ("addr-2", "out of gas", MSG_B)),
     ])
 
@@ -97,7 +102,7 @@ def _synthetic():
              voter=f"/root/a#{i}", power=1, cid="dd" * 8)
     feed(2.6, "lock", height=3, round=1, cid="dd" * 8)
     feed(2.7, "commit", height=3, round=1, cid="dd" * 8)
-    return sim, tracer
+    return sim, tracer, rounds
 
 
 def _check_golden(name: str, text: str) -> None:
@@ -110,13 +115,13 @@ def _check_golden(name: str, text: str) -> None:
 
 
 def test_prometheus_golden():
-    sim, _tracer = _synthetic()
+    sim, _tracer, _rounds = _synthetic()
     _check_golden("synthetic.prom", to_prometheus(sim))
 
 
 def test_chrome_trace_golden():
-    sim, tracer = _synthetic()
-    document = to_chrome_trace(sim, tracer)
+    sim, tracer, rounds = _synthetic()
+    document = to_chrome_trace(sim, tracer, rounds=rounds)
     _check_golden(
         "synthetic_trace.json",
         json.dumps(document, indent=2, allow_nan=False) + "\n",
@@ -124,8 +129,8 @@ def test_chrome_trace_golden():
 
 
 def test_chrome_trace_shape():
-    sim, tracer = _synthetic()
-    document = to_chrome_trace(sim, tracer)
+    sim, tracer, rounds = _synthetic()
+    document = to_chrome_trace(sim, tracer, rounds=rounds)
     events = document["traceEvents"]
     spans = [e for e in events if e["ph"] == "X" and e.get("cat") == "xnet"]
     # submit→enqueue and enqueue→deliver of MSG_A, enqueue→fail of MSG_B
@@ -143,8 +148,8 @@ def test_chrome_trace_shape():
 
 
 def test_snapshot_json_round_trip(tmp_path):
-    sim, tracer = _synthetic()
-    snapshot = telemetry_snapshot(sim, tracer=tracer, wall_seconds=0.5)
+    sim, tracer, rounds = _synthetic()
+    snapshot = telemetry_snapshot(sim, tracer=tracer, rounds=rounds, wall_seconds=0.5)
     path = write_json(str(tmp_path / "dump.json"), snapshot)
     loaded = json.loads(Path(path).read_text(encoding="utf-8"))
     assert loaded["schema"] == "repro.telemetry/v1"
@@ -163,7 +168,7 @@ def test_snapshot_json_round_trip(tmp_path):
 def test_prometheus_declares_profiler_families():
     """mem.*/profile.* gauges export with HELP/TYPE and sanitised names —
     the dispatch label's /, # survive only in the HELP line."""
-    sim, _tracer = _synthetic()
+    sim, _tracer, _rounds = _synthetic()
     text = to_prometheus(sim)
     assert "# TYPE mem_rss_bytes gauge" in text
     assert "mem_rss_bytes 42000000" in text
@@ -175,7 +180,7 @@ def test_prometheus_declares_profiler_families():
 
 def test_prometheus_declares_round_families():
     """consensus.round.* gauges/counters/histograms export with HELP/TYPE."""
-    sim, _tracer = _synthetic()
+    sim, _tracer, _rounds = _synthetic()
     text = to_prometheus(sim)
     assert "# TYPE consensus_round__root_a_height gauge" in text
     assert "# HELP consensus_round__root_a_height consensus.round./root/a.height" in text
@@ -196,8 +201,8 @@ def test_prometheus_declares_round_families():
 def test_chrome_trace_round_tracks():
     """Round events render as one pid-4 track per validator: slices for
     rounds, instants for votes/locks/commits inside them."""
-    sim, tracer = _synthetic()
-    events = to_chrome_trace(sim, tracer)["traceEvents"]
+    sim, tracer, rounds = _synthetic()
+    events = to_chrome_trace(sim, tracer, rounds=rounds)["traceEvents"]
     rounds = [e for e in events if e["pid"] == 4]
     names = {
         e["args"]["name"] for e in rounds
@@ -214,7 +219,7 @@ def test_chrome_trace_round_tracks():
 
 
 def test_prometheus_sanitizes_names():
-    sim, _tracer = _synthetic()
+    sim, _tracer, _rounds = _synthetic()
     sim.metrics.counter("weird.name-with/slash").inc()
     text = to_prometheus(sim)
     assert "weird_name_with_slash 1" in text
@@ -224,7 +229,7 @@ def test_prometheus_sanitizes_names():
 
 def test_prometheus_lint_clean():
     """Every family has HELP before TYPE and nothing else starts with #."""
-    sim, _tracer = _synthetic()
+    sim, _tracer, _rounds = _synthetic()
     lines = to_prometheus(sim).strip().splitlines()
     families = set()
     for i, line in enumerate(lines):
@@ -255,9 +260,9 @@ def test_prometheus_escaping_helpers():
 
 
 def test_report_cli_renders_dump(tmp_path, capsys):
-    sim, tracer = _synthetic()
+    sim, tracer, rounds = _synthetic()
     path = str(tmp_path / "dump.json")
-    write_json(path, telemetry_snapshot(sim, tracer=tracer))
+    write_json(path, telemetry_snapshot(sim, tracer=tracer, rounds=rounds))
     assert report_main([path]) == 0
     out = capsys.readouterr().out
     assert "cross-net spans: 2 traced, 1 delivered, 1 failed" in out
@@ -281,9 +286,9 @@ def test_report_cli_unparseable_file(tmp_path, capsys):
 
 
 def test_report_cli_json_flag(tmp_path, capsys):
-    sim, tracer = _synthetic()
+    sim, tracer, rounds = _synthetic()
     path = str(tmp_path / "dump.json")
-    write_json(path, telemetry_snapshot(sim, tracer=tracer, wall_seconds=0.5))
+    write_json(path, telemetry_snapshot(sim, tracer=tracer, rounds=rounds, wall_seconds=0.5))
     assert report_main([path, "--json"]) == 0
     out = capsys.readouterr().out
     summary = json.loads(out)  # machine-readable
@@ -295,13 +300,13 @@ def test_report_cli_json_flag(tmp_path, capsys):
 
 
 def test_report_renders_invariant_counters_and_caches(tmp_path, capsys):
-    sim, tracer = _synthetic()
+    sim, tracer, rounds = _synthetic()
     sim.metrics.counter("invariant.supply.violations").inc(2)
     sim.metrics.counter("cid.cache.hits").inc(90)
     sim.metrics.counter("cid.cache.misses").inc(10)
     sim.metrics.gauge("state.root.buckets_rehashed").set(7)
     path = str(tmp_path / "dump.json")
-    write_json(path, telemetry_snapshot(sim, tracer=tracer))
+    write_json(path, telemetry_snapshot(sim, tracer=tracer, rounds=rounds))
     assert report_main([path]) == 0
     out = capsys.readouterr().out
     assert "invariant counters" in out
@@ -321,13 +326,13 @@ def test_report_renders_invariant_counters_and_caches(tmp_path, capsys):
 def test_report_renders_profile_section(tmp_path, capsys):
     from repro.telemetry import SamplingProfiler
 
-    sim, tracer = _synthetic()
+    sim, tracer, rounds = _synthetic()
     profiler = SamplingProfiler(sim, interval=0.001).start()
     sim.schedule(1.0, lambda: __import__("time").sleep(0.03), label="busy")
     sim.run()
     profiler.stop()
     path = str(tmp_path / "dump.json")
-    write_json(path, telemetry_snapshot(sim, tracer=tracer, profiler=profiler))
+    write_json(path, telemetry_snapshot(sim, tracer=tracer, rounds=rounds, profiler=profiler))
     assert report_main([path]) == 0
     out = capsys.readouterr().out
     assert "CPU profile —" in out and "samples" in out
@@ -341,9 +346,9 @@ def test_report_renders_profile_section(tmp_path, capsys):
 
 
 def test_report_renders_rounds_section(tmp_path, capsys):
-    sim, tracer = _synthetic()
+    sim, tracer, rounds = _synthetic()
     path = str(tmp_path / "dump.json")
-    write_json(path, telemetry_snapshot(sim, tracer=tracer))
+    write_json(path, telemetry_snapshot(sim, tracer=tracer, rounds=rounds))
     assert report_main([path]) == 0
     out = capsys.readouterr().out
     assert "consensus rounds per subnet" in out
@@ -361,13 +366,13 @@ def test_report_renders_rounds_section(tmp_path, capsys):
 
 
 def test_report_renders_invariants_section(tmp_path, capsys):
-    sim, tracer = _synthetic()
+    sim, tracer, rounds = _synthetic()
     from repro.telemetry import InvariantMonitor
 
     monitor = InvariantMonitor(sim=sim, auditors=[]).install()
     monitor.record("supply", "/root", "demo violation")
     path = str(tmp_path / "dump.json")
-    write_json(path, telemetry_snapshot(sim, tracer=tracer, monitor=monitor))
+    write_json(path, telemetry_snapshot(sim, tracer=tracer, rounds=rounds, monitor=monitor))
     assert report_main([path]) == 0
     out = capsys.readouterr().out
     assert "invariants: 1 violation(s) across 0 auditors" in out

@@ -60,4 +60,23 @@ def test_standalone_probe_without_installing_tracer():
     probe = HealthProbe(system, interval=0.5).start()
     system.run_for(4)
     assert probe.latest["/root"]["height"] > 0
-    assert system.sim.span_tracer is None
+    assert system.span_tracer is None
+    # Sampling alone subscribes no commit-time observer.
+    assert system.sim.observers.block_commit == ()
+
+
+def test_height_is_the_best_head_while_validator_0_is_stopped():
+    """``health.<subnet>.height`` follows the subnet's best head, not
+    validator 0's: a stopped validator must not read as a stalled subnet."""
+    system = HierarchicalSystem(seed=31)
+    system.start()
+    sub = system.spawn_subnet(SubnetConfig(name="s0", validators=3, block_time=0.5))
+    probe = HealthProbe(system, interval=1.0).start()
+    first, *rest = system.nodes(sub)
+    first.stop()
+    system.run_for(10)
+    best = max(node.head().height for node in rest)
+    assert first.head().height < best
+    assert probe.latest[sub.path]["height"] == best
+    series = system.sim.metrics.series[f"health.{sub.path}.height"]
+    assert series.points[-1][1] == best

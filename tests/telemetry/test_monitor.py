@@ -67,9 +67,11 @@ def test_enable_telemetry_is_idempotent(monitored_system):
 def test_install_uninstall():
     sim = Simulator(seed=1)
     monitor = InvariantMonitor(sim=sim, auditors=[]).install()
-    assert sim.invariant_monitor is monitor
+    assert sim.observers.block_commit == (monitor.on_block_commit,)
+    assert sim.observers.reorg == (monitor.on_reorg,)
     monitor.uninstall()
-    assert sim.invariant_monitor is None
+    assert sim.observers.block_commit == ()
+    assert sim.observers.reorg == ()
 
 
 # ----------------------------------------------------------------------

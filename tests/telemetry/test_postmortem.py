@@ -106,7 +106,7 @@ def test_cli_missing_file_is_one_line_error(capsys):
 
 def test_health_ring_fed_by_probe(poked):
     system, _out = poked
-    # enable_telemetry wired HealthProbe.on_sample → recorder.note_health.
+    # The recorder subscribes to health samples in its own install().
     bundle = system.flight_recorder.dump(reason="health-check")
     assert bundle["health_recent"], "health samples should reach the ring"
     latest = bundle["health_recent"][-1]

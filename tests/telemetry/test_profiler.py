@@ -114,8 +114,9 @@ def test_tracemalloc_buckets_allocations_per_label():
 
 def test_suppressed_events_do_not_corrupt_memory_accounting():
     sim = Simulator(seed=5)
-    sim.dispatch.on_pre_dispatch(
-        lambda event: event.cancel() if event.label == "dropped" else None
+    sim.observers.subscribe(
+        "dispatch_pre",
+        lambda event: event.cancel() if event.label == "dropped" else None,
     )
     sink = []
     sim.schedule(1.0, lambda: None, label="dropped")

@@ -8,14 +8,16 @@ report must *name* the missing quorum members and the unreachable links.
 """
 
 import json
+from types import SimpleNamespace
 
+from repro.consensus.base import Validator, ValidatorSet
 from repro.hierarchy import HierarchicalSystem, SubnetConfig
 from repro.scenario.runner import ProgressWatchdog
 from repro.sim.scheduler import Simulator
 from repro.telemetry import RoundTracer, render_stall_report
 from repro.telemetry.postmortem import main as postmortem_main
 from repro.telemetry.postmortem import render as render_postmortem
-from repro.telemetry.rounds import STALL_SCHEMA
+from repro.telemetry.rounds import STALL_SCHEMA, StallDiagnoser, render_quorum
 
 SUBNET = "/root/a"
 VAL = "/root/a#0"
@@ -33,15 +35,15 @@ def _feed(tracer, kind, time=0.0, node=VAL, **fields):
 # ----------------------------------------------------------------------
 # RoundTracer units
 # ----------------------------------------------------------------------
-def test_install_sets_and_uninstall_clears_the_slot():
+def test_install_subscribes_and_uninstall_unsubscribes():
     sim, tracer = _tracer()
-    assert sim.round_tracer is tracer
+    assert sim.observers.round == (tracer.on_round_event,)
     tracer.uninstall()
-    assert sim.round_tracer is None
-    # Uninstalling somebody else's tracer is a no-op.
+    assert sim.observers.round == ()
+    # Uninstalling twice leaves somebody else's tracer subscribed.
     other = RoundTracer(sim).install()
     tracer.uninstall()
-    assert sim.round_tracer is other
+    assert sim.observers.round == (other.on_round_event,)
 
 
 def test_frontier_advances_and_never_regresses():
@@ -126,8 +128,7 @@ def _workload_digest(monkeypatch, tie_shuffle, tracing):
     system = HierarchicalSystem(
         seed=11, root_validators=3, wallet_funds={"alice": 10_000}
     ).start()
-    if tracing:
-        RoundTracer(system.sim).install()
+    tracer = RoundTracer(system.sim).install() if tracing else None
     subnet = system.spawn_subnet(
         SubnetConfig(name="s0", engine="tendermint", validators=4,
                      block_time=0.5)
@@ -137,7 +138,7 @@ def _workload_digest(monkeypatch, tie_shuffle, tracing):
     system.run_until(15.0)
     if tracing:
         # The tracer really saw the run it must not perturb.
-        assert system.sim.round_tracer.summary()["events"] > 0
+        assert tracer.summary()["events"] > 0
     return system.end_state_digest()
 
 
@@ -244,3 +245,83 @@ def test_on_demand_diagnosis_of_a_healthy_slot_subnet():
     assert "slot engine" in rendered
     assert "expected leader" in rendered
     json.dumps(report, allow_nan=False)
+
+
+# ----------------------------------------------------------------------
+# Split votes are not a quorum
+# ----------------------------------------------------------------------
+def _stub_subnet(power=100):
+    """Four equal-power Tendermint validators as the diagnoser sees them."""
+    members = [f"/root/s0#{i}" for i in range(4)]
+    vset = ValidatorSet(Validator(m, address=None, power=power) for m in members)
+    nodes = [SimpleNamespace(engine=SimpleNamespace(validators=vset)) for _ in members]
+    return members, nodes
+
+
+def test_split_prevotes_hold_only_the_largest_agreeing_group():
+    """Vote books shaped like the randomized round-desync stall: at round 4
+    #3 sees nil from #0 and itself and a block from #2 — three voters, 300
+    power, yet no value has the 267 a quorum needs."""
+    members, nodes = _stub_subnet()
+    block, other = "b2681be85ac304e8", "51538b7c17f85f8e"
+
+    def validator(node, round_, prevotes, locked=None, locked_round=-1, height=22):
+        return {
+            "node": node,
+            "head_height": height - 1,
+            "state": {
+                "height": height, "round": round_,
+                "locked": locked, "locked_round": locked_round,
+                "prevotes": prevotes, "precommits": {},
+            },
+        }
+
+    validators = [
+        validator(members[0], 4, {"0": {members[0]: other}, "4": {
+            members[0]: None, members[2]: block,
+        }}, locked=other, locked_round=0),
+        validator(members[1], 5, {"5": {members[1]: None}}, height=21),
+        validator(members[2], 4, {"4": {members[0]: None, members[2]: block}}),
+        validator(members[3], 4, {"4": {
+            members[0]: None, members[2]: block, members[3]: None,
+        }}, locked=other, locked_round=0),
+    ]
+    quorum = StallDiagnoser(system=None)._missing_quorum(nodes, validators)
+
+    assert quorum["kind"] == "vote-quorum"
+    assert (quorum["round"], quorum["observer"]) == (4, members[3])
+    assert quorum["voted"] == [members[0], members[2], members[3]]
+    assert quorum["needed_power"] == 267
+    assert quorum["held_power"] == 200  # nil from #0 and #3, not all 300
+    assert quorum["missing_power"] == 67
+    assert quorum["split"] == [
+        [None, [members[0], members[3]], 200],
+        [block, [members[2]], 100],
+    ]
+    assert quorum["locks"] == {
+        members[0]: [other, 0],
+        members[1]: [None, -1],
+        members[2]: [None, -1],
+        members[3]: [other, 0],
+    }
+    lines = render_quorum(quorum)
+    assert lines[0].startswith("quorum at h22 r4: 200/267 power")
+    assert (
+        f"  split: nil from {members[0]}, {members[3]} (200 power); "
+        f"{block} from {members[2]} (100 power)"
+    ) in lines
+    assert f"{members[0]} on {other} since r0" in "\n".join(lines)
+
+
+def test_agreeing_prevotes_report_no_split():
+    members, nodes = _stub_subnet()
+    book = {m: "aa" * 8 for m in members[:3]}
+    validators = [
+        {"node": m, "head_height": 4,
+         "state": {"height": 5, "round": 0, "prevotes": {"0": book}}}
+        for m in members
+    ]
+    quorum = StallDiagnoser(system=None)._missing_quorum(nodes, validators)
+    assert quorum["held_power"] == 300
+    assert quorum["missing_power"] == 0
+    assert "split" not in quorum and "locks" not in quorum

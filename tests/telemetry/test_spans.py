@@ -1,5 +1,7 @@
 """Span tracer: lifecycle across a 2-level hierarchy, determinism, digest."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.hierarchy import HierarchicalSystem, SubnetConfig
@@ -142,6 +144,10 @@ def test_digest_unchanged_with_telemetry(traced_system):
 # ----------------------------------------------------------------------
 # Unit behaviour on a bare simulator
 # ----------------------------------------------------------------------
+def _node(subnet_id, node_id):
+    return SimpleNamespace(subnet_id=subnet_id, node_id=node_id)
+
+
 def _topdown_event(cid="ab" * 16, value=7, kind="user"):
     return (
         "crossmsg.topdown",
@@ -153,7 +159,7 @@ def test_duplicate_commits_deduplicate():
     sim = Simulator(seed=1)
     tracer = SpanTracer(sim).install()
     for node in ("n0", "n1", "n2"):
-        tracer.on_block_commit("/root", node, None, [_topdown_event()])
+        tracer.on_block_commit(_node("/root", node), None, [_topdown_event()])
     assert len(tracer.traces) == 1
     (events,) = tracer.traces.values()
     assert len(events) == 1
@@ -168,8 +174,9 @@ def test_note_submit_binds_fifo_to_first_user_enqueue():
     sim.now = 2.0
     tracer.note_submit("/root", "/root/a", "addr-1", 7)
     sim.now = 5.0
-    tracer.on_block_commit("/root", "n0", None, [_topdown_event(cid="aa" * 16)])
-    tracer.on_block_commit("/root", "n0", None, [_topdown_event(cid="bb" * 16)])
+    node = _node("/root", "n0")
+    tracer.on_block_commit(node, None, [_topdown_event(cid="aa" * 16)])
+    tracer.on_block_commit(node, None, [_topdown_event(cid="bb" * 16)])
     first = tracer.trace("aa" * 16)
     second = tracer.trace("bb" * 16)
     assert [e.phase for e in first] == ["submit", "enqueue"]
@@ -185,7 +192,7 @@ def test_internal_messages_get_no_submit_binding():
     tracer.note_submit("/root", "/root/a", "addr-1", 7)
     sim.now = 3.0
     tracer.on_block_commit(
-        "/root", "n0", None, [_topdown_event(kind="revert")]
+        _node("/root", "n0"), None, [_topdown_event(kind="revert")]
     )
     (events,) = tracer.traces.values()
     assert [e.phase for e in events] == ["enqueue"]  # submission not consumed
@@ -195,6 +202,10 @@ def test_internal_messages_get_no_submit_binding():
 def test_uninstall_detaches():
     sim = Simulator(seed=1)
     tracer = SpanTracer(sim).install()
-    assert sim.span_tracer is tracer
+    assert sim.observers.block_commit == (tracer.on_block_commit,)
+    assert sim.observers.checkpoint_submit == (tracer.checkpoint_submitted,)
+    tracer.install()  # idempotent
+    assert len(sim.observers.block_commit) == 1
     tracer.uninstall()
-    assert sim.span_tracer is None
+    assert sim.observers.block_commit == ()
+    assert sim.observers.checkpoint_submit == ()
