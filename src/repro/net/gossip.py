@@ -16,7 +16,9 @@ core of gossipsub [Vyzovitis et al. 2020]:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, Callable, Optional
 
 from repro.sim.scheduler import Simulator
@@ -26,7 +28,10 @@ from repro.net.transport import NetMessage, Transport
 
 @dataclass
 class GossipParams:
-    """Tunables mirroring gossipsub's D/Dlazy/heartbeat/history."""
+    """Tunables mirroring gossipsub's D/Dlazy/heartbeat/history.
+
+    A :class:`GossipNetwork` reads them once, when it is built.
+    """
 
     degree: int = 4  # mesh degree D
     lazy_degree: int = 3  # gossip fanout for IHAVE
@@ -56,7 +61,7 @@ class _PeerState:
         # and invalidated by _rebuild_mesh (the only place mesh sets change).
         self.mesh_sorted: dict[str, tuple[str, ...]] = {}
         self.seen: dict[str, PubsubEnvelope] = {}
-        self.seen_order: list[tuple[int, str]] = []  # (heartbeat_no, msg_id)
+        self.seen_order: deque[tuple[int, str]] = deque()  # (heartbeat_no, msg_id)
         self.seq = 0
 
 
@@ -85,6 +90,16 @@ class GossipNetwork:
         self._delivered = sim.metrics.counter("gossip.delivered")
         self._latency = sim.metrics.histogram("gossip.latency")
         self._heartbeat_no = 0
+        self._history_length = self.params.history_length
+        # How long every holder of an id keeps it, counted from the id's
+        # publish time.  A peer records an id at some time >= published_at,
+        # before heartbeat h + 1 fires, and drops it at heartbeat
+        # h + L + 1: L full intervals later.  One interval of margin absorbs
+        # float drift in every().  _accept uses the span to elide copies
+        # whose delivery is provably a duplicate.
+        self._redundancy_span = (
+            (self._history_length - 1) * self.params.heartbeat_interval
+        )
         self._rpc: Optional[RpcChannel] = None
         self._stop_heartbeat = sim.every(
             self.params.heartbeat_interval, self._heartbeat, label="gossip:heartbeat"
@@ -113,6 +128,13 @@ class GossipNetwork:
         self.transport.register(peer_id, self._on_transport_message)
 
     def remove_peer(self, peer_id: str) -> None:
+        """Drop *peer_id* and all its pubsub state.
+
+        A peer re-added while mesh copies addressed to its old incarnation
+        are still in flight does not receive those copies that were elided
+        as duplicates of what the old incarnation had seen (see
+        :meth:`Transport.send`); it gets them back through IHAVE repair.
+        """
         state = self._peers.pop(peer_id, None)
         if state is None:
             return
@@ -233,8 +255,18 @@ class GossipNetwork:
         if neighbours is None:
             neighbours = tuple(sorted(state.mesh.get(envelope.topic, ())))
             state.mesh_sorted[envelope.topic] = neighbours
+        # A neighbour that already holds the id discards this copy, and
+        # keeps holding it until redundant_before (see _redundancy_span):
+        # the transport draws the copy's fate but schedules nothing.
+        msg_id = envelope.msg_id
+        redundant_before = envelope.published_at + self._redundancy_span
+        peers = self._peers
+        send = self.transport.send
         for neighbour in neighbours:
-            self.transport.send(peer_id, neighbour, "gossip:pub", envelope)
+            send(
+                peer_id, neighbour, "gossip:pub", envelope,
+                redundant_before if msg_id in peers[neighbour].seen else None,
+            )
 
     # ------------------------------------------------------------------
     # Transport plumbing
@@ -262,16 +294,20 @@ class GossipNetwork:
     # ------------------------------------------------------------------
     def _heartbeat(self) -> None:
         self._heartbeat_no += 1
-        horizon = self._heartbeat_no - self.params.history_length
+        # An id recorded at heartbeat h expires at heartbeat h + L + 1.
+        horizon = self._heartbeat_no - self._history_length
         for peer_id in sorted(self._peers):
             state = self._peers[peer_id]
             # Expire old history.
-            while state.seen_order and state.seen_order[0][0] < horizon:
-                _, old_id = state.seen_order.pop(0)
+            seen_order = state.seen_order
+            while seen_order and seen_order[0][0] < horizon:
+                _, old_id = seen_order.popleft()
                 state.seen.pop(old_id, None)
             # Advertise recent ids per topic to non-mesh members.
+            recent = list(islice(reversed(seen_order), 50))
+            recent.reverse()
             recent_by_topic: dict[str, list[str]] = {}
-            for _, msg_id in state.seen_order[-50:]:
+            for _, msg_id in recent:
                 envelope = state.seen.get(msg_id)
                 if envelope is not None:
                     recent_by_topic.setdefault(envelope.topic, []).append(msg_id)

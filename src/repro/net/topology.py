@@ -101,6 +101,10 @@ class Topology:
         # Kept empty unless faults are installed: the send hot path must
         # draw zero extra RNG when no link is degraded.
         self._links: dict[tuple[str, str], LinkProfile] = {}
+        # Fault flags the send hot path reads instead of calling
+        # can_communicate / is_lost on a pristine network.
+        self.partitioned = False  # some installed partition is unhealed
+        self.degraded = False  # some per-link override is installed
 
     @staticmethod
     def _link_key(a: str, b: str) -> tuple[str, str]:
@@ -152,12 +156,15 @@ class Topology:
             self._links.pop(key, None)
         else:
             self._links[key] = link
+        self.degraded = bool(self._links)
 
     def clear_link(self, a: str, b: str) -> None:
         self._links.pop(self._link_key(a, b), None)
+        self.degraded = bool(self._links)
 
     def clear_links(self) -> None:
         self._links = {}
+        self.degraded = False
 
     def link_profile(self, a: str, b: str) -> Optional[LinkProfile]:
         return self._links.get(self._link_key(a, b))
@@ -185,15 +192,18 @@ class Topology:
                 if group & other:
                     raise ValueError("partition groups must be disjoint")
         self._partitions.append(normalized)
+        self.partitioned = True
         return len(self._partitions) - 1
 
     def heal(self, handle: int) -> None:
         """Remove a previously installed partition."""
         if 0 <= handle < len(self._partitions):
             self._partitions[handle] = ()
+            self.partitioned = any(self._partitions)
 
     def heal_all(self) -> None:
         self._partitions = []
+        self.partitioned = False
 
     def can_communicate(self, src: str, dst: str) -> bool:
         """False when a partition separates *src* and *dst*."""

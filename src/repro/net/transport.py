@@ -2,23 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from repro.sim.scheduler import Simulator
 from repro.net.topology import Topology
 
 
-@dataclass(frozen=True)
-class NetMessage:
-    """A delivered network message."""
+class NetMessage(NamedTuple):
+    """A delivered network message (a tuple: one is built per scheduled send)."""
 
     src: str
     dst: str
     kind: str
     payload: Any
     sent_at: float
-    msg_id: int = field(default=0)
+    msg_id: int = 0
 
 
 class Transport:
@@ -41,8 +39,11 @@ class Transport:
         # every simulated packet).
         self._sent = sim.metrics.counter("net.sent")
         self._delivered = sim.metrics.counter("net.delivered")
+        self._elided = sim.metrics.counter("net.elided")
         self._latency = sim.metrics.histogram("net.latency")
         self._labels: dict[str, str] = {}
+        # Endpoint id -> physical link id ("rpc:" namespace stripped).
+        self._link_ids: dict[str, str] = {}
 
     def register(self, peer_id: str, handler: Callable[[NetMessage], None]) -> None:
         """Attach *handler* for messages addressed to *peer_id*."""
@@ -60,39 +61,62 @@ class Transport:
     def peers(self) -> list[str]:
         return sorted(self._handlers)
 
-    def send(self, src: str, dst: str, kind: str, payload: Any) -> bool:
+    def send(
+        self,
+        src: str,
+        dst: str,
+        kind: str,
+        payload: Any,
+        redundant_before: Optional[float] = None,
+    ) -> bool:
         """Send a message; returns False if dropped (loss/partition/unknown).
 
         Delivery happens asynchronously through the simulator queue after a
         sampled latency.
+
+        *redundant_before* is the caller's proof that delivery would be a
+        no-op: an absolute simulated time before which *dst* discards this
+        payload unread (gossip passes it for copies the receiver has already
+        seen).  A copy that would land before that time takes every
+        send-time step — partition check, loss and latency draws, message
+        id, ``net.sent`` — and is then counted as ``net.elided`` instead of
+        being scheduled.  Every RNG stream and every other event therefore
+        stays exactly where it was.
         """
         if dst not in self._handlers:
             return False
         # Endpoint namespaces (rpc:<peer>) share the peer's physical link:
         # partitions, loss and latency overrides keyed by the bare peer id
         # must apply to its RPC traffic too.
-        link_src = src[4:] if src.startswith("rpc:") else src
-        link_dst = dst[4:] if dst.startswith("rpc:") else dst
-        if not self.topology.can_communicate(link_src, link_dst):
+        link_ids = self._link_ids
+        link_src = link_ids.get(src)
+        if link_src is None:
+            link_src = link_ids[src] = src[4:] if src.startswith("rpc:") else src
+        link_dst = link_ids.get(dst)
+        if link_dst is None:
+            link_dst = link_ids[dst] = dst[4:] if dst.startswith("rpc:") else dst
+        topology = self.topology
+        if topology.partitioned and not topology.can_communicate(link_src, link_dst):
             self.sim.metrics.counter("net.partitioned_drops").inc()
             return False
-        if self.topology.is_lost(link_src, link_dst, self._rng):
+        # is_lost draws nothing on a loss-free, undegraded network, so
+        # skipping the call there leaves the RNG stream untouched.
+        if (topology.loss_rate > 0 or topology.degraded) and topology.is_lost(
+            link_src, link_dst, self._rng
+        ):
             self.sim.metrics.counter("net.lost").inc()
             return False
-        latency = self.topology.sample_latency(link_src, link_dst, self._rng)
-        message = NetMessage(
-            src=src,
-            dst=dst,
-            kind=kind,
-            payload=payload,
-            sent_at=self.sim.now,
-            msg_id=self._next_msg_id,
-        )
-        self._next_msg_id += 1
+        latency = topology.sample_latency(link_src, link_dst, self._rng)
+        msg_id = self._next_msg_id
+        self._next_msg_id = msg_id + 1
         self._sent.inc()
+        if redundant_before is not None and self.sim.now + latency < redundant_before:
+            self._elided.inc()
+            return True
         label = self._labels.get(kind)
         if label is None:
             label = self._labels[kind] = f"net:{kind}"
+        message = NetMessage(src, dst, kind, payload, self.sim.now, msg_id)
         self.sim.schedule(latency, self._deliver, message, label=label)
         return True
 

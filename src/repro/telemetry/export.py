@@ -95,7 +95,11 @@ def write_json(path: str, snapshot: dict) -> str:
 METRIC_CATALOG: dict = {
     # net/transport
     "net.sent": ("counter", "messages handed to the transport"),
-    "net.delivered": ("counter", "messages delivered to a registered peer"),
+    "net.delivered": ("counter", "deliveries actually made to a registered peer"),
+    "net.elided": (
+        "counter",
+        "sends whose delivery was provably a duplicate; drawn but not scheduled",
+    ),
     "net.latency": ("summary", "per-message simulated delivery latency"),
     "net.partitioned_drops": ("counter", "messages dropped by an active partition"),
     "net.lost": ("counter", "messages dropped by random loss"),
