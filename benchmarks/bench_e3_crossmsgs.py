@@ -19,6 +19,7 @@ import os
 import pytest
 
 from repro.hierarchy import ROOTNET, HierarchicalSystem, SubnetConfig
+from repro.sim.metrics import series_key, split_series_key
 from repro.telemetry import (
     telemetry_snapshot,
     write_chrome_trace,
@@ -165,8 +166,13 @@ def test_e3_crossmsg_latency_vs_depth(benchmark):
     )
     # Spawn-time funding also traces, so at least the measured transfers.
     assert tracer.delivered_count() >= len(rows), "every transfer should be spanned"
-    assert dump["histograms"].get("xnet.hop.topdown.L1", {}).get("count", 0) > 0
-    assert dump["histograms"].get("checkpoint.lag", {}).get("count", 0) > 0
+    hop_l1 = series_key("xnet.hop", {"hop": "topdown", "level": 1})
+    assert dump["histograms"].get(hop_l1, {}).get("count", 0) > 0
+    assert sum(
+        summary["count"]
+        for key, summary in dump["histograms"].items()
+        if split_series_key(key)[0] == "checkpoint.lag"
+    ) > 0
     # An honest deep-hierarchy run trips no live invariant.
     assert dump["invariants"]["violations"] == 0, system.invariant_monitor.summary()
 

@@ -16,6 +16,7 @@ import math
 
 import pytest
 
+from repro.sim.metrics import series_key
 from repro.workloads import PaymentWorkload
 
 from common import (
@@ -50,10 +51,12 @@ def _run_engine(engine: str, seed: int):
     node = system.node(subnet)
     blocks = node.head().height - start_height
     interval_hist = system.sim.metrics.histograms.get(
-        f"consensus.{subnet.path}.block_interval"
+        series_key("consensus.block_interval", {"subnet": subnet.path})
     )
     forks = sum(n.store.fork_count() for n in system.nodes(subnet))
-    reorgs = system.sim.metrics.counters.get(f"chain.{subnet.path}.reorgs")
+    reorgs = system.sim.metrics.counters.get(
+        series_key("chain.reorgs", {"subnet": subnet.path})
+    )
     return {
         "engine": engine,
         "blocks_per_s": blocks / duration,

@@ -57,7 +57,7 @@ def _slashing_scenario():
         "status_after": record["status"],
         "detect_time": detect_time,
         "fraud_proofs": system.sim.metrics.counter(
-            f"checkpoint.{subnet.path}.fraud_proofs"
+            "checkpoint.fraud_proofs", subnet=subnet.path
         ).value,
     }
 

@@ -73,9 +73,9 @@ def _run():
         "root_blocks_made": system.node(ROOTNET).head().height - root_height_before,
         "circulating_delta": system.child_record(ROOTNET, subnet)["circulating"]
         - circulating_before,
-        "bottomup_failures": system.sim.metrics.counters.get(
-            "crossmsg./root.bottomup_failed",
-        ),
+        "bottomup_failures": system.sim.metrics.counter(
+            "crossmsg.failed", dir="bottomup", subnet="/root"
+        ).value,
         "audit_ok": audit_system(system).ok,
         "sim_elapsed": system.sim.now - t0,
     }

@@ -17,6 +17,7 @@ import time
 from repro.analysis import Table
 from repro.crypto.cid import cid_cache_stats
 from repro.hierarchy import HierarchicalSystem, SubnetConfig
+from repro.sim.metrics import split_series_key
 from repro.telemetry import write_chrome_trace
 from repro.workloads import PaymentWorkload
 
@@ -143,7 +144,7 @@ def write_bench_json(name: str, rows=None, sim=None, extra=None) -> str:
         # sim's monotone counters (single publish point per run).
         stats = cid_cache_stats()
         for kind in ("hits", "misses"):
-            counter = sim.metrics.counter(f"cid.cache.{kind}")
+            counter = sim.metrics.counter("cid.cache", kind=kind)
             counter.inc(max(0, stats[kind] - counter.value))
         document["sim"] = {
             "now": sim.now,
@@ -169,12 +170,12 @@ def write_bench_json(name: str, rows=None, sim=None, extra=None) -> str:
 def committed_blocks(sim) -> int:
     """Total blocks committed across every chain in *sim*.
 
-    Sums the ``chain.<subnet>.blocks`` commit marks, so forked/orphaned
-    blocks don't count — this is canonical chain growth.
+    Sums the ``chain.blocks`` commit marks of every subnet, so
+    forked/orphaned blocks don't count — this is canonical chain growth.
     """
     total = 0.0
-    for name, series in sim.metrics.series.items():
-        if name.startswith("chain.") and name.endswith(".blocks"):
+    for key, series in sim.metrics.series.items():
+        if split_series_key(key)[0] == "chain.blocks":
             total += sum(v for _, v in series.points)
     return int(total)
 

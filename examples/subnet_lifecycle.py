@@ -54,7 +54,7 @@ def main() -> None:
         lambda: system.child_record(ROOTNET, subnet)["slashed_total"] > 0,
         timeout=60.0,
     )
-    proofs = system.sim.metrics.counter(f"checkpoint.{subnet.path}.fraud_proofs").value
+    proofs = system.sim.metrics.counter("checkpoint.fraud_proofs", subnet=subnet.path).value
     print(f"  fraud proofs submitted: {proofs}")
     show_record(system, subnet, "after slashing")
 

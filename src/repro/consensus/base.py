@@ -148,9 +148,6 @@ class ConsensusEngine:
         return {"engine": self.NAME, "running": self.running}
 
     # -- helpers --------------------------------------------------------
-    def _metric(self, name: str):
-        return self.sim.metrics.counter(f"consensus.{self.node.subnet_id}.{name}")
-
     def _trace_round(self, kind: str, **fields) -> None:
         """Emit one round/view transition as a ``round`` observation.
 
@@ -165,7 +162,7 @@ class ConsensusEngine:
             )
 
     def _observe_block_interval(self, block: FullBlock) -> None:
-        hist = self.sim.metrics.histogram(f"consensus.{self.node.subnet_id}.block_interval")
+        hist = self.sim.metrics.histogram("consensus.block_interval", subnet=self.node.subnet_id)
         head = self.node.head()
         if head is not None and block.height == head.height + 1:
             hist.observe(block.header.timestamp - head.header.timestamp)

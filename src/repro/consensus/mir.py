@@ -91,7 +91,7 @@ class MirEngine(ConsensusEngine):
         if leader.node_id != self.node.node_id:
             return
         if self.node.is_byzantine("withhold_block"):
-            self._metric("withheld").inc()
+            self.sim.metrics.counter("consensus.withheld", subnet=self.node.subnet_id).inc()
             return
         epoch = self._epoch(sub_slot)
         my_bucket = sub_slot % self.leaders
@@ -110,7 +110,7 @@ class MirEngine(ConsensusEngine):
             },
             message_filter=in_my_bucket,
         )
-        self._metric("proposed").inc()
+        self.sim.metrics.counter("consensus.proposed", subnet=self.node.subnet_id).inc()
         self._trace_round(
             "propose", height=block.height, slot=sub_slot,
             proposer=self.node.node_id, cid=block.cid.hex()[:16],
@@ -129,14 +129,14 @@ class MirEngine(ConsensusEngine):
         block: FullBlock = payload
         sub_slot = block.header.consensus_data.get("sub_slot")
         if sub_slot is None:
-            self._metric("rejected").inc()
+            self.sim.metrics.counter("consensus.rejected", subnet=self.node.subnet_id).inc()
             return
         expected = self.leader_for_sub_slot(sub_slot)
         if block.header.miner != expected.address:
-            self._metric("rejected").inc()
+            self.sim.metrics.counter("consensus.rejected", subnet=self.node.subnet_id).inc()
             return
         if self.node.receive_block(block, final=True):
-            self._metric("accepted").inc()
+            self.sim.metrics.counter("consensus.accepted", subnet=self.node.subnet_id).inc()
             self._trace_round(
                 "commit", height=block.height, slot=sub_slot,
                 proposer=expected.node_id,

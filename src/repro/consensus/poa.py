@@ -60,7 +60,7 @@ class RoundRobinEngine(ConsensusEngine):
         if leader.node_id != self.node.node_id:
             return
         if self.node.is_byzantine("withhold_block"):
-            self._metric("withheld").inc()
+            self.sim.metrics.counter("consensus.withheld", subnet=self.node.subnet_id).inc()
             return
         head = self.node.head()
         block = self.node.assemble_block(
@@ -68,7 +68,7 @@ class RoundRobinEngine(ConsensusEngine):
             parent_cid=head.cid,
             consensus_data={"engine": self.NAME, "slot": slot},
         )
-        self._metric("proposed").inc()
+        self.sim.metrics.counter("consensus.proposed", subnet=self.node.subnet_id).inc()
         self._trace_round(
             "propose", height=block.height, slot=slot,
             proposer=self.node.node_id, cid=block.cid.hex()[:16],
@@ -90,14 +90,14 @@ class RoundRobinEngine(ConsensusEngine):
         block: FullBlock = payload
         slot = block.header.consensus_data.get("slot")
         if slot is None:
-            self._metric("rejected").inc()
+            self.sim.metrics.counter("consensus.rejected", subnet=self.node.subnet_id).inc()
             return
         expected = self.leader_for_slot(slot)
         if block.header.miner != expected.address:
-            self._metric("rejected").inc()
+            self.sim.metrics.counter("consensus.rejected", subnet=self.node.subnet_id).inc()
             return
         if self.node.receive_block(block, final=True):
-            self._metric("accepted").inc()
+            self.sim.metrics.counter("consensus.accepted", subnet=self.node.subnet_id).inc()
             self._trace_round(
                 "commit", height=block.height, slot=slot,
                 proposer=expected.node_id,

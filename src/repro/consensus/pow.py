@@ -85,7 +85,7 @@ class ProofOfWorkEngine(ConsensusEngine):
             self._restart_mining()
             return
         if self.node.is_byzantine("withhold_block"):
-            self._metric("withheld").inc()
+            self.sim.metrics.counter("consensus.withheld", subnet=self.node.subnet_id).inc()
             self._restart_mining()
             return
         block = self.node.assemble_block(
@@ -96,7 +96,7 @@ class ProofOfWorkEngine(ConsensusEngine):
                 "ticket": self._rng.getrandbits(64),
             },
         )
-        self._metric("mined").inc()
+        self.sim.metrics.counter("consensus.mined", subnet=self.node.subnet_id).inc()
         self._trace_round(
             "propose", height=block.height, proposer=self.node.node_id,
             cid=block.cid.hex()[:16],
@@ -118,7 +118,7 @@ class ProofOfWorkEngine(ConsensusEngine):
         # RoundRobinEngine.handle.  Only mining stays gated on running.
         block: FullBlock = payload
         if block.header.consensus_data.get("engine") != self.NAME:
-            self._metric("rejected").inc()
+            self.sim.metrics.counter("consensus.rejected", subnet=self.node.subnet_id).inc()
             return
         head_before = self.node.head()
         accepted = self.node.receive_block(block, final=False)
@@ -128,7 +128,7 @@ class ProofOfWorkEngine(ConsensusEngine):
                     sender, self.node.head().height + 1, block.height - 1
                 )
             return
-        self._metric("accepted").inc()
+        self.sim.metrics.counter("consensus.accepted", subnet=self.node.subnet_id).inc()
         head_after = self.node.head()
         if head_before is None or head_after.cid != head_before.cid:
             self._trace_round("commit", height=head_after.height)

@@ -146,9 +146,10 @@ class SubnetNode(NodeRuntime):
             metric = "bottomup"
         else:
             raise ValidationError(f"unknown cross-msg payload {type(cross).__name__}")
-        name = f"crossmsg.{self.subnet_id}.{metric}_" + ("ok" if receipt.ok else "failed")
-        self.sim.metrics.counter(name).inc()
-        if not receipt.ok:
+        if receipt.ok:
+            self.sim.metrics.counter("crossmsg.applied", subnet=self.subnet_id, dir=metric).inc()
+        else:
+            self.sim.metrics.counter("crossmsg.failed", subnet=self.subnet_id, dir=metric).inc()
             self.sim.trace.emit("crossmsg.apply_failed", self.subnet_id, metric, receipt.error)
         return receipt
 

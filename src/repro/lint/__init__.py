@@ -32,7 +32,8 @@ check its edges:
 - **MSG002** — a subscription on a topic nothing publishes;
 - **MSG003** — an RPC call to a method no ``expose()`` registers;
 - **MET001** — emitted metric families and the exporter's
-  ``METRIC_CATALOG`` must agree, in both directions;
+  ``METRIC_CATALOG`` must agree exactly, in both directions and in
+  Prometheus type, and every family must be a literal;
 - **SCN001** — scenario auditor/fault-kind references (Python or TOML)
   must name a registered class.
 

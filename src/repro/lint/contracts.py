@@ -8,22 +8,20 @@ the exporter never declares).  This module walks every linted file once
 and assembles a :class:`ContractGraph` of those interface points; the
 MSG/MET/SCN rule family (pass 2) then checks the graph's edges.
 
-Strings are resolved **dataflow-lite**: literals, f-strings (interpolated
-pieces become ``*`` wildcards), ``+`` concatenation, conditional
-expressions (both arms), local/module/self-attribute assignments, calls
-to module-level *topic helpers* (single-``return`` functions like
-``subnet_topic``), and calls to intra-class *metric helpers* (methods
-that forward a parameter into a metric name, like ``Engine._metric``)
-with the call-site argument substituted in.  Interpolated values are
-assumed to never contain the pattern separator (``.`` for metrics) —
-subnet paths use ``/`` and labels use ``:``, so this holds in-tree.
-Sites whose key cannot be resolved to at least a prefix are recorded
-under ``unresolved`` and exempt from checking.
+Metric families need no resolution: the family argument of a registry
+call must be a string literal or a module-level string constant (what
+varies travels in keyword labels), so each emit site names one exact
+family.  A metric call with any other family expression is recorded
+under ``unresolved`` with detail ``metric``, and MET001 reports it.
 
-Pattern language: ``*`` matches any run of characters; when a whole
-dot-segment of a metric pattern is ``*`` it matches exactly one segment,
-except as the final segment where it matches one or more (so a declared
-``xnet.hop.*`` covers ``xnet.hop.submit.L2``).
+Topic, RPC and dispatch-label keys are resolved **dataflow-lite**:
+literals, f-strings (interpolated pieces become ``*`` wildcards), ``+``
+concatenation, conditional expressions (both arms),
+local/module/self-attribute assignments and calls to module-level
+*topic helpers* (single-``return`` functions like ``subnet_topic``).
+Sites whose key cannot be resolved to at least a prefix are recorded
+under ``unresolved`` and exempt from checking.  Pattern language: ``*``
+matches any run of characters.
 """
 
 from __future__ import annotations
@@ -34,13 +32,14 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-#: Methods that create/fetch a metric on a registry, and the family kind.
+#: Methods that create/fetch a metric on a registry, and the Prometheus
+#: type its family exports as (a time series exports its last point).
 _METRIC_METHODS = {
     "counter": "counter",
     "gauge": "gauge",
-    "histogram": "histogram",
-    "timeseries": "series",
-    "mark": "series",
+    "histogram": "summary",
+    "timeseries": "gauge",
+    "mark": "gauge",
 }
 
 #: The exporter's declared-families table (extracted by name, not import —
@@ -157,25 +156,6 @@ def _chunk_ok(a: str, b: str) -> bool:
 def patterns_compatible(a: str, b: str) -> bool:
     """Whole-string compatibility (topics, RPC methods): ``*`` = any run."""
     return _chunk_ok(a, b)
-
-
-def metric_patterns_compatible(a: str, b: str) -> bool:
-    """Dot-segmented compatibility for metric families.
-
-    A ``*`` segment matches exactly one segment, except as the final
-    segment of either pattern, where it greedily matches one or more —
-    a declared ``xnet.hop.*`` family covers every depth below it.
-    """
-    sa, sb = a.split("."), b.split(".")
-
-    def head_matches(short: Sequence[str], long: Sequence[str]) -> bool:
-        return all(_chunk_ok(x, y) for x, y in zip(short, long))
-
-    if sa[-1] == "*" and len(sb) >= len(sa) and head_matches(sa[:-1], sb):
-        return True
-    if sb[-1] == "*" and len(sa) >= len(sb) and head_matches(sb[:-1], sa):
-        return True
-    return len(sa) == len(sb) and head_matches(sa, sb)
 
 
 def closest_patterns(pattern: str, pool: Iterable[str], limit: int = 3) -> list:
@@ -364,12 +344,10 @@ def _local_assignments(func: ast.AST) -> dict:
 
 
 def _metric_call(node: ast.Call) -> Optional[tuple]:
-    """(kind, name_expr) when *node* creates/fetches a metric, else None.
+    """(kind, family_expr) when *node* creates/fetches a metric, else None.
 
     Receiver heuristic: the dotted receiver ends in ``metrics`` or
     ``registry`` (``sim.metrics.counter(...)``, ``registry.gauge(...)``).
-    Local aliases (``gauge = self.metrics.gauge``) are handled by the
-    scope walker via its alias map.
     """
     if not isinstance(node.func, ast.Attribute):
         return None
@@ -393,6 +371,15 @@ class _Module:
         self.tree = tree
         self.lines = lines
         self.consts: dict = {}  # module-level NAME -> [patterns]
+        self.literals: dict = {}  # module-level NAME -> str literal
+
+    def family(self, expr: ast.AST) -> Optional[str]:
+        """The metric family *expr* names: a literal or module constant."""
+        if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
+            return expr.value
+        if isinstance(expr, ast.Name):
+            return self.literals.get(expr.id)
+        return None
 
     def raw(self, node: ast.AST) -> str:
         line = getattr(node, "lineno", 0)
@@ -421,9 +408,8 @@ def build_contract_graph(
     mods = [_Module(path, tree, lines) for path, tree, lines in modules]
 
     # Sweep 1 (global): module constants, topic-helper functions,
-    # auditor/fault class registries, metric catalogs, metric helpers.
+    # auditor/fault class registries, metric catalogs.
     helpers: dict = {}
-    metric_helpers: dict = {}  # method name -> [(kind, name_expr, params)]
     for mod in mods:
         for node in mod.tree.body:
             target = value = None
@@ -435,6 +421,8 @@ def build_contract_graph(
                 got = _Resolver({}).resolve(value)
                 if got is not None:
                     mod.consts[target.id] = got
+                if isinstance(value, ast.Constant) and isinstance(value.value, str):
+                    mod.literals[target.id] = value.value
                 if target.id == METRIC_CATALOG_NAME and isinstance(value, ast.Dict):
                     _extract_catalog(mod, value, graph)
             elif isinstance(node, ast.FunctionDef):
@@ -443,12 +431,10 @@ def build_contract_graph(
                     helpers[node.name] = patterns
             elif isinstance(node, ast.ClassDef):
                 _extract_class_registries(mod, node, graph)
-                for name, entry in _metric_helper_methods(node).items():
-                    metric_helpers.setdefault(name, []).append(entry)
 
     # Sweep 2: walk every scope for contract sites.
     for mod in mods:
-        _extract_module_sites(mod, helpers, metric_helpers, graph)
+        _extract_module_sites(mod, helpers, graph)
 
     for path, text in toml_files:
         _extract_toml_sites(path, text, graph)
@@ -536,45 +522,6 @@ def _extract_class_registries(
             )
 
 
-def _metric_helper_methods(node: ast.ClassDef) -> dict:
-    """Methods of *node* that forward a parameter into a metric name.
-
-    Returns ``method name -> (kind, name_expr, param names)`` for methods
-    like ``def _metric(self, name): ...counter(f"consensus.{x}.{name}")``
-    so call sites — including in subclasses defined in other files — can
-    substitute their literal argument and recover the real family.
-    """
-    out: dict = {}
-    for method in [n for n in node.body if isinstance(n, ast.FunctionDef)]:
-        params = [a.arg for a in method.args.args if a.arg != "self"]
-        if not params:
-            continue
-        statements = [
-            s
-            for s in method.body
-            if not (isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))
-        ]
-        if len(statements) > 3:
-            # A do-everything method that happens to interpolate a param
-            # (e.g. a violation recorder) is not a naming helper: its own
-            # emits stay attributed in place, wildcarding the param.
-            continue
-        for call in ast.walk(method):
-            if not isinstance(call, ast.Call):
-                continue
-            found = _metric_call(call)
-            if found is None:
-                continue
-            kind, name_expr = found
-            touched = {
-                n.id for n in ast.walk(name_expr) if isinstance(n, ast.Name)
-            } & set(params)
-            if touched:
-                out[method.name] = (kind, name_expr, tuple(params))
-                break
-    return out
-
-
 def _class_self_env(node: ast.ClassDef, mod: _Module, helpers: dict) -> dict:
     """``self.X`` -> patterns, unioned over every method's assignments."""
     env: dict = {}
@@ -599,27 +546,22 @@ def _class_self_env(node: ast.ClassDef, mod: _Module, helpers: dict) -> dict:
     return env
 
 
-def _extract_module_sites(
-    mod: _Module, helpers: dict, metric_helpers: dict, graph: ContractGraph
-) -> None:
+def _extract_module_sites(mod: _Module, helpers: dict, graph: ContractGraph) -> None:
     for node in mod.tree.body:
         if isinstance(node, ast.ClassDef):
             self_env = _class_self_env(node, mod, helpers)
             for method in [n for n in node.body if isinstance(n, _SCOPE_NODES)]:
-                _extract_scope(
-                    mod, method, helpers, metric_helpers, graph, self_env=self_env
-                )
+                _extract_scope(mod, method, helpers, graph, self_env=self_env)
         elif isinstance(node, _SCOPE_NODES):
-            _extract_scope(mod, node, helpers, metric_helpers, graph)
+            _extract_scope(mod, node, helpers, graph)
     # Module-scope statements (registry tables, module wiring).
-    _extract_scope(mod, mod.tree, helpers, metric_helpers, graph, module_scope=True)
+    _extract_scope(mod, mod.tree, helpers, graph, module_scope=True)
 
 
 def _extract_scope(
     mod: _Module,
     scope: ast.AST,
     helpers: dict,
-    metric_helpers: dict,
     graph: ContractGraph,
     self_env: Optional[dict] = None,
     inherited_locals: Optional[dict] = None,
@@ -643,17 +585,6 @@ def _extract_scope(
     env = dict(mod.consts)
     env.update(self_env or {})
     resolver = _Resolver(env, params, helpers, locals_map)
-
-    # Local metric aliases: ``gauge = self.metrics.gauge``.
-    aliases: dict = {}
-    for name, exprs in locals_map.items():
-        for expr in exprs:
-            if (
-                isinstance(expr, ast.Attribute)
-                and expr.attr in _METRIC_METHODS
-                and _receiver_ends(expr.value, ("metrics", "registry"))
-            ):
-                aliases[name] = _METRIC_METHODS[expr.attr]
 
     def record(
         bucket: list,
@@ -698,13 +629,6 @@ def _extract_scope(
                     for pattern in got or ["*"]:
                         graph.dispatch_labels.append(mod.site(node, pattern))
                 return
-            if (
-                isinstance(receiver, ast.Name)
-                and receiver.id == "self"
-                and func.attr in metric_helpers
-            ):
-                record_helper_call(node, func.attr)
-                return
             if func.attr == "violates":
                 for arg in node.args:
                     if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
@@ -727,19 +651,12 @@ def _extract_scope(
                 return
         found = _metric_call(node)
         if found is not None:
-            if _inside_own_helper(scope, node, metric_helpers):
-                return  # a helper's own body; call sites carry the sites
-            kind, name_expr = found
-            record(graph.metrics_emitted, node, name_expr, kind, "metric")
-            return
-        if isinstance(func, ast.Name) and func.id in aliases:
-            record(
-                graph.metrics_emitted,
-                node,
-                _arg(node, 0, "name"),
-                aliases[func.id],
-                "metric",
-            )
+            kind, family_expr = found
+            family = mod.family(family_expr)
+            if family is None:
+                graph.unresolved.append(mod.site(node, "*", detail="metric"))
+            else:
+                graph.metrics_emitted.append(mod.site(node, family, detail=kind))
             return
         if _call_name(node) == "fault_from_spec" and node.args:
             spec = node.args[0]
@@ -753,30 +670,6 @@ def _extract_scope(
                     ):
                         graph.fault_kinds_referenced.append(mod.site(value, value.value))
 
-    def record_helper_call(node: ast.Call, method: str) -> None:
-        """``self._metric("proposed")`` — substitute args into each known
-        helper template (same-named helpers in unrelated classes union)."""
-        positional = [a for a in node.args if not isinstance(a, ast.Starred)]
-        recorded = False
-        for kind, name_expr, hparams in metric_helpers[method]:
-            bound: dict = {}
-            for i, param in enumerate(hparams):
-                value: Optional[ast.AST] = None
-                if i < len(positional):
-                    value = positional[i]
-                for kw in node.keywords:
-                    if kw.arg == param:
-                        value = kw.value
-                got = resolver.resolve(value)
-                bound[param] = got if got is not None else ["*"]
-            got = _Resolver(bound, frozenset(), helpers).resolve(name_expr)
-            if got is not None and not all(p == "*" for p in got):
-                for pattern in got:
-                    graph.metrics_emitted.append(mod.site(node, pattern, detail=kind))
-                recorded = True
-        if not recorded:
-            graph.unresolved.append(mod.site(node, "*", detail="metric"))
-
     def visit(node: ast.AST) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, _SCOPE_NODES):
@@ -785,7 +678,6 @@ def _extract_scope(
                         mod,
                         child,
                         helpers,
-                        metric_helpers,
                         graph,
                         self_env=self_env,
                         inherited_locals=locals_map,
@@ -799,20 +691,6 @@ def _extract_scope(
             visit(child)
 
     visit(scope)
-
-
-def _inside_own_helper(scope: ast.AST, call: ast.Call, metric_helpers: dict) -> bool:
-    """True when *call* is the parameterised emit inside a helper's body —
-    recording it would add an over-wide wildcard family next to the precise
-    per-call-site families already substituted in."""
-    if not isinstance(scope, ast.FunctionDef) or scope.name not in metric_helpers:
-        return False
-    found = _metric_call(call)
-    if found is None:
-        return False
-    params = {a.arg for a in scope.args.args if a.arg != "self"}
-    touched = {n.id for n in ast.walk(found[1]) if isinstance(n, ast.Name)} & params
-    return bool(touched)
 
 
 def _parse_violates(text: str) -> list:

@@ -78,6 +78,9 @@ class NodeRuntime:
         # block, kept only while something subscribes to ``block_commit``
         # on the simulator's observation stream.
         self._block_events: dict[CID, tuple] = {}
+        # This subnet's (chain.txs, chain.blocks) series, resolved at the
+        # first commit.
+        self._commit_series: Optional[tuple] = None
 
         self.engine = make_engine(sim, self, validators, consensus_params)
         # State snapshots are kept for every engine (pruned by depth): even
@@ -227,9 +230,9 @@ class NodeRuntime:
         def _on_blocks(result, error) -> None:
             self._sync_inflight = False
             if error is not None or not result:
-                self.sim.metrics.counter(f"chain.{self.subnet_id}.sync_failed").inc()
+                self.sim.metrics.counter("chain.sync_failed", subnet=self.subnet_id).inc()
                 return
-            self.sim.metrics.counter(f"chain.{self.subnet_id}.sync_blocks").inc(
+            self.sim.metrics.counter("chain.sync_blocks", subnet=self.subnet_id).inc(
                 len(result)
             )
             # Synced blocks adopt the engine's own finality semantics —
@@ -310,7 +313,7 @@ class NodeRuntime:
         try:
             validate_block_shape(block, parent, self.subnet_id)
         except ValidationError as err:
-            self.sim.metrics.counter(f"chain.{self.subnet_id}.invalid_blocks").inc()
+            self.sim.metrics.counter("chain.invalid_blocks", subnet=self.subnet_id).inc()
             self.sim.trace.emit("block.invalid", self.subnet_id, block.cid.short(), err)
             return False
 
@@ -340,7 +343,7 @@ class NodeRuntime:
                 block.header.miner, block.height, block.header.parent,
             )
             if scratch.state_root() != block.header.state_root:
-                self.sim.metrics.counter(f"chain.{self.subnet_id}.state_mismatch").inc()
+                self.sim.metrics.counter("chain.state_mismatch", subnet=self.subnet_id).inc()
                 self.sim.trace.emit(
                     "block.state_mismatch", self.subnet_id, block.cid.short()
                 )
@@ -380,7 +383,7 @@ class NodeRuntime:
         """Housekeeping when the canonical head moves."""
         new_head = new_head_block.cid
         if old_head is not None and not self.store.is_extension(old_head, new_head):
-            self.sim.metrics.counter(f"chain.{self.subnet_id}.reorgs").inc()
+            self.sim.metrics.counter("chain.reorgs", subnet=self.subnet_id).inc()
             self.sim.trace.emit(
                 "chain.reorg", self.subnet_id, old_head.short(), new_head.short()
             )
@@ -391,7 +394,7 @@ class NodeRuntime:
                 if self.store.is_canonical(block.cid):
                     break
                 depth += 1
-            self.sim.metrics.histogram(f"chain.{self.subnet_id}.reorg.depth").observe(depth)
+            self.sim.metrics.histogram("chain.reorg.depth", subnet=self.subnet_id).observe(depth)
             for observer in self.sim.observers.reorg:
                 observer(self, old_head, new_head_block, depth)
         # Newly canonical segment, oldest first.  Each block is announced to
@@ -406,10 +409,17 @@ class NodeRuntime:
         added.reverse()
         for block in added:
             self._notified.add(block.cid)
+        if added and self._commit_series is None:
+            metrics = self.sim.metrics
+            self._commit_series = (
+                metrics.timeseries("chain.txs", subnet=self.subnet_id),
+                metrics.timeseries("chain.blocks", subnet=self.subnet_id),
+            )
         for block in added:
             self.mempool.remove_included(block.messages)
-            self.sim.metrics.mark(f"chain.{self.subnet_id}.txs", len(block.messages))
-            self.sim.metrics.mark(f"chain.{self.subnet_id}.blocks", 1)
+            txs_series, blocks_series = self._commit_series
+            txs_series.record(self.sim.now, len(block.messages))
+            blocks_series.record(self.sim.now, 1)
             self.sim.trace.emit(
                 "block.commit", self.subnet_id,
                 f"h={block.height}", block.cid.short(), f"msgs={len(block.messages)}",

@@ -3,12 +3,52 @@
 The bench harness reads these to produce the tables in ``EXPERIMENTS.md``.
 All metrics are plain Python (no numpy dependency in the core library) and
 deterministic given a deterministic run.
+
+A metric is named by a literal *family* (``chain.reorgs``); whatever
+varies — the subnet, a hierarchy level, a dispatch label — goes into
+keyword labels: ``metrics.counter("chain.reorgs", subnet=sid)``.  This
+module owns the series-key format: the bare family without labels, else
+``family{k="v",…}`` with keys sorted and values escaped as in the
+Prometheus text format.  :func:`series_key` builds a key and
+:func:`split_series_key` takes one apart.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from typing import Callable, Iterable, Optional
+
+_LABEL_RE = re.compile(r'(\w+)="((?:[^"\\]|\\.)*)"')
+_UNESCAPE_RE = re.compile(r"\\(.)")
+
+
+def _escape(value) -> str:
+    text = str(value)
+    if '"' in text or "\\" in text or "\n" in text:
+        text = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return text
+
+
+def series_key(family: str, labels: dict) -> str:
+    """The registry key of the *family* series carrying *labels*."""
+    if not labels:
+        return family
+    body = ",".join([f'{key}="{_escape(value)}"' for key, value in sorted(labels.items())])
+    return f"{family}{{{body}}}"
+
+
+def split_series_key(key: str) -> tuple[str, dict]:
+    """``(family, labels)`` of a key built by :func:`series_key`."""
+    family, brace, body = key.partition("{")
+    if not brace:
+        return key, {}
+    return family, {
+        name: _UNESCAPE_RE.sub(
+            lambda m: "\n" if m.group(1) == "n" else m.group(1), value
+        )
+        for name, value in _LABEL_RE.findall(body)
+    }
 
 
 def _json_safe(value: float) -> Optional[float]:
@@ -186,7 +226,11 @@ class TimeSeries:
 
 
 class MetricsRegistry:
-    """Namespace of metrics owned by a :class:`~repro.sim.scheduler.Simulator`."""
+    """Namespace of metrics owned by a :class:`~repro.sim.scheduler.Simulator`.
+
+    Each dict maps a :func:`series_key` to its metric; a series appears
+    when it is first emitted.
+    """
 
     def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         self._clock = clock or (lambda: 0.0)
@@ -199,29 +243,33 @@ class MetricsRegistry:
     def now(self) -> float:
         return self._clock()
 
-    def counter(self, name: str) -> Counter:
-        if name not in self.counters:
-            self.counters[name] = Counter(name)
-        return self.counters[name]
+    def counter(self, name: str, **labels) -> Counter:
+        key = series_key(name, labels)
+        if key not in self.counters:
+            self.counters[key] = Counter(key)
+        return self.counters[key]
 
-    def gauge(self, name: str) -> Gauge:
-        if name not in self.gauges:
-            self.gauges[name] = Gauge(name)
-        return self.gauges[name]
+    def gauge(self, name: str, **labels) -> Gauge:
+        key = series_key(name, labels)
+        if key not in self.gauges:
+            self.gauges[key] = Gauge(key)
+        return self.gauges[key]
 
-    def histogram(self, name: str) -> Histogram:
-        if name not in self.histograms:
-            self.histograms[name] = Histogram(name)
-        return self.histograms[name]
+    def histogram(self, name: str, **labels) -> Histogram:
+        key = series_key(name, labels)
+        if key not in self.histograms:
+            self.histograms[key] = Histogram(key)
+        return self.histograms[key]
 
-    def timeseries(self, name: str) -> TimeSeries:
-        if name not in self.series:
-            self.series[name] = TimeSeries(name)
-        return self.series[name]
+    def timeseries(self, name: str, **labels) -> TimeSeries:
+        key = series_key(name, labels)
+        if key not in self.series:
+            self.series[key] = TimeSeries(key)
+        return self.series[key]
 
-    def mark(self, name: str, value: float = 1.0) -> None:
+    def mark(self, name: str, value: float = 1.0, **labels) -> None:
         """Record a timestamped point on the named time series."""
-        self.timeseries(name).record(self.now, value)
+        self.timeseries(name, **labels).record(self.now, value)
 
     def snapshot(self) -> dict:
         """Return all metric values as plain JSON-safe data.

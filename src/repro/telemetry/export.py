@@ -21,7 +21,13 @@ import json
 import re
 from typing import Optional
 
-from repro.sim.metrics import _json_safe
+from repro.sim.metrics import (
+    Histogram,
+    TimeSeries,
+    _json_safe,
+    series_key,
+    split_series_key,
+)
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
@@ -85,13 +91,13 @@ def write_json(path: str, snapshot: dict) -> str:
 # ----------------------------------------------------------------------
 # Prometheus text exposition
 # ----------------------------------------------------------------------
-#: The declared metric surface: every family the system emits, keyed by a
-#: dotted name pattern (``*`` = one interpolated segment, e.g. a subnet
-#: path; a trailing ``*`` covers one or more), mapping to its Prometheus
-#: type and HELP text.  ``repro.lint``'s MET001 cross-checks this table
-#: against every emit site in the tree — both ways — so keep it in sync
-#: when adding or renaming metrics.  Interpolated values (subnet paths,
-#: node ids, dispatch labels) never contain dots.
+#: The declared metric surface: every family the system emits, mapping
+#: to its Prometheus type and HELP text.  Keys are exact literal family
+#: names; what varies (subnet path, hierarchy level, dispatch label …)
+#: travels as series labels, noted in the comments.  ``repro.lint``'s
+#: MET001 cross-checks this table against every emit site in the tree —
+#: both ways, kinds included — so keep it in sync when adding or renaming
+#: metrics.
 METRIC_CATALOG: dict = {
     # net/transport
     "net.sent": ("counter", "messages handed to the transport"),
@@ -107,59 +113,55 @@ METRIC_CATALOG: dict = {
     "gossip.published": ("counter", "pubsub messages published"),
     "gossip.delivered": ("counter", "pubsub deliveries to subscriber handlers"),
     "gossip.latency": ("summary", "publish-to-handler simulated latency"),
-    # chain/runtime (per-subnet)
-    "chain.*.blocks": ("gauge", "blocks committed (event series)"),
-    "chain.*.txs": ("gauge", "transactions committed (event series)"),
-    "chain.*.invalid_blocks": ("counter", "blocks rejected by validation"),
-    "chain.*.reorgs": ("counter", "chain reorganisations applied"),
-    "chain.*.reorg.depth": ("summary", "depth of applied reorgs"),
-    "chain.*.state_mismatch": ("counter", "blocks rejected on state-root mismatch"),
-    "chain.*.sync_blocks": ("counter", "blocks applied via range sync"),
-    "chain.*.sync_failed": ("counter", "failed block-range sync attempts"),
+    # chain/runtime — labels: subnet
+    "chain.blocks": ("gauge", "blocks committed (event series)"),
+    "chain.txs": ("gauge", "transactions committed (event series)"),
+    "chain.invalid_blocks": ("counter", "blocks rejected by validation"),
+    "chain.reorgs": ("counter", "chain reorganisations applied"),
+    "chain.reorg.depth": ("summary", "depth of applied reorgs"),
+    "chain.state_mismatch": ("counter", "blocks rejected on state-root mismatch"),
+    "chain.sync_blocks": ("counter", "blocks applied via range sync"),
+    "chain.sync_failed": ("counter", "failed block-range sync attempts"),
     # state
     "state.root.buckets_rehashed": ("gauge", "buckets rehashed by the last incremental root"),
     "state.tree.layer_depth": ("gauge", "depth of the state hash tree"),
-    # consensus engines (per-subnet)
-    "consensus.*.proposed": ("counter", "blocks proposed by this engine"),
-    "consensus.*.mined": ("counter", "blocks mined (PoW)"),
-    "consensus.*.accepted": ("counter", "proposals accepted"),
-    "consensus.*.rejected": ("counter", "proposals rejected"),
-    "consensus.*.withheld": ("counter", "proposals withheld by a byzantine engine"),
-    "consensus.*.votes_withheld": ("counter", "votes withheld by a byzantine engine"),
-    "consensus.*.equivocations_sent": ("counter", "equivocating proposals sent"),
-    "consensus.*.equivocations_observed": ("counter", "equivocations observed"),
-    "consensus.*.round_skips": ("counter", "rounds skipped on timeout"),
-    "consensus.*.rounds": ("counter", "consensus rounds started"),
-    "consensus.*.caught_up": ("counter", "catch-up syncs completed"),
-    "consensus.*.committed": ("counter", "blocks committed by consensus"),
-    "consensus.*.block_interval": ("summary", "inter-block simulated time"),
-    "consensus.*.commit_round": ("summary", "round number at commit"),
-    # consensus round tracer (per-subnet)
-    "consensus.round.*.duration": ("summary", "simulated duration of a round"),
-    "consensus.round.*.per_height": ("summary", "rounds needed per committed height"),
-    "consensus.round.*.skips": ("counter", "round skips observed by the tracer"),
-    "consensus.round.*.timeouts": ("counter", "round timeouts observed by the tracer"),
-    "consensus.round.*.locks": ("counter", "value locks observed by the tracer"),
-    "consensus.round.*.height": ("gauge", "current working height"),
-    "consensus.round.*.number": ("gauge", "current round number"),
-    "consensus.round.*.quorum_power": ("gauge", "power required for quorum"),
-    "consensus.round.*.prevote_power": ("gauge", "prevote power held at the frontier"),
-    "consensus.round.*.precommit_power": ("gauge", "precommit power held at the frontier"),
-    # hierarchy: checkpointing (per-subnet) and anchoring spans
-    "checkpoint.*.submitted": ("counter", "checkpoints submitted to the parent"),
-    "checkpoint.*.equivocations": ("counter", "checkpoint equivocations detected"),
-    "checkpoint.*.fraud_proofs": ("counter", "checkpoint fraud proofs accepted"),
-    "checkpoint.lag": ("summary", "seal-to-commit lag of anchored checkpoints"),
-    "checkpoint.lag.L*": ("summary", "checkpoint lag by source-subnet level"),
+    # consensus engines — labels: subnet
+    "consensus.proposed": ("counter", "blocks proposed by this engine"),
+    "consensus.mined": ("counter", "blocks mined (PoW)"),
+    "consensus.accepted": ("counter", "proposals accepted"),
+    "consensus.rejected": ("counter", "proposals rejected"),
+    "consensus.withheld": ("counter", "proposals withheld by a byzantine engine"),
+    "consensus.votes_withheld": ("counter", "votes withheld by a byzantine engine"),
+    "consensus.equivocations_sent": ("counter", "equivocating proposals sent"),
+    "consensus.equivocations_observed": ("counter", "equivocations observed"),
+    "consensus.skipped_rounds": ("counter", "rounds skipped on timeout"),
+    "consensus.rounds": ("counter", "consensus rounds started"),
+    "consensus.caught_up": ("counter", "catch-up syncs completed"),
+    "consensus.committed": ("counter", "blocks committed by consensus"),
+    "consensus.block_interval": ("summary", "inter-block simulated time"),
+    "consensus.commit_round": ("summary", "round number at commit"),
+    # consensus round tracer — labels: subnet (vote_power also: vote)
+    "consensus.round.duration": ("summary", "simulated duration of a round"),
+    "consensus.round.per_height": ("summary", "rounds needed per committed height"),
+    "consensus.round.skips": ("counter", "round skips observed by the tracer"),
+    "consensus.round.timeouts": ("counter", "round timeouts observed by the tracer"),
+    "consensus.round.locks": ("counter", "value locks observed by the tracer"),
+    "consensus.round.height": ("gauge", "current working height"),
+    "consensus.round.number": ("gauge", "current round number"),
+    "consensus.round.quorum_power": ("gauge", "power required for quorum"),
+    "consensus.round.vote_power": ("gauge", "vote power held at the frontier"),
+    # hierarchy: checkpointing — labels: subnet (lag: level)
+    "checkpoint.submitted": ("counter", "checkpoints submitted to the parent"),
+    "checkpoint.equivocations": ("counter", "checkpoint equivocations detected"),
+    "checkpoint.fraud_proofs": ("counter", "checkpoint fraud proofs accepted"),
+    "checkpoint.lag": ("summary", "seal-to-commit lag by source-subnet level"),
     "checkpoint.hop.seal_to_submit": ("summary", "checkpoint seal-to-submit hop time"),
     "checkpoint.hop.submit_to_commit": ("summary", "checkpoint submit-to-commit hop time"),
-    # hierarchy: cross-net messaging (per-subnet)
-    "crossmsg.*.topdown_ok": ("counter", "top-down cross-messages applied"),
-    "crossmsg.*.topdown_failed": ("counter", "top-down cross-messages failed"),
-    "crossmsg.*.bottomup_ok": ("counter", "bottom-up cross-messages applied"),
-    "crossmsg.*.bottomup_failed": ("counter", "bottom-up cross-messages failed"),
-    "crosspool.*.topdown_seen": ("counter", "top-down cross-messages pooled"),
-    "crosspool.*.bottomup_seen": ("counter", "bottom-up cross-messages pooled"),
+    # hierarchy: cross-net messaging — labels: subnet (applied/failed also: dir)
+    "crossmsg.applied": ("counter", "cross-messages applied"),
+    "crossmsg.failed": ("counter", "cross-messages failed"),
+    "crosspool.topdown_seen": ("counter", "top-down cross-messages pooled"),
+    "crosspool.bottomup_seen": ("counter", "bottom-up cross-messages pooled"),
     # hierarchy: content resolution
     "resolution.push_sent": ("counter", "content pushes sent"),
     "resolution.push_stored": ("counter", "pushed content stored"),
@@ -175,64 +177,40 @@ METRIC_CATALOG: dict = {
     "accel.settled": ("counter", "accelerated checkpoints settled"),
     "accel.expired": ("counter", "acceleration certificates expired"),
     "accel.bad_certificates": ("counter", "invalid acceleration certificates"),
-    # telemetry: cross-net span tracer
+    # telemetry: cross-net span tracer (hop — labels: hop, level; e2e: route)
     "xnet.spans.started": ("counter", "cross-net spans started"),
     "xnet.spans.delivered": ("counter", "cross-net spans delivered"),
     "xnet.spans.failed": ("counter", "cross-net spans failed"),
-    "xnet.hop.submit": ("summary", "submit-to-enqueue hop time"),
-    "xnet.hop.submit.L*": ("summary", "submit hop time by source level"),
-    "xnet.hop.topdown": ("summary", "top-down hop time"),
-    "xnet.hop.topdown.L*": ("summary", "top-down hop time by level"),
-    "xnet.hop.bottomup": ("summary", "bottom-up hop time"),
-    "xnet.hop.bottomup.L*": ("summary", "bottom-up hop time by level"),
-    "xnet.e2e.topdown": ("summary", "end-to-end top-down delivery time"),
-    "xnet.e2e.bottomup": ("summary", "end-to-end bottom-up delivery time"),
-    "xnet.e2e.path": ("summary", "end-to-end delivery time via an LCA path"),
-    # telemetry: invariant monitor
-    "invariant.violations": ("counter", "invariant violations recorded (all auditors)"),
-    "invariant.*.violations": ("counter", "invariant violations per auditor"),
+    "xnet.hop": ("summary", "cross-net hop time by hop kind and level"),
+    "xnet.e2e": ("summary", "end-to-end cross-net delivery time by route shape"),
+    # telemetry: invariant monitor (violations — labels: auditor)
+    "invariant.violations": ("counter", "invariant violations per auditor"),
     "invariant.exactly_once.fork_replays": ("counter", "cross-message replays on rival forks"),
     "invariant.exactly_once.nonce_gaps": ("counter", "cross-message nonce gaps observed"),
-    # telemetry: health probe (per-subnet time series)
-    "health.*.height": ("gauge", "subnet chain height over time"),
-    "health.*.mempool": ("gauge", "subnet mempool depth over time"),
-    "health.*.pending_crossmsgs": ("gauge", "pending cross-messages over time"),
-    "health.*.checkpoint_lag": ("gauge", "checkpoint lag over time"),
-    # telemetry: sampling profiler
+    # telemetry: health probe — labels: subnet (time series)
+    "health.height": ("gauge", "subnet chain height over time"),
+    "health.mempool": ("gauge", "subnet mempool depth over time"),
+    "health.pending_crossmsgs": ("gauge", "pending cross-messages over time"),
+    "health.checkpoint_lag": ("gauge", "checkpoint lag over time"),
+    # telemetry: sampling profiler (cpu_share/alloc_bytes — labels: label)
     "profile.samples": ("gauge", "profiler samples taken"),
     "profile.interval_s": ("gauge", "profiler sampling interval"),
     "profile.sampler_s": ("gauge", "wall time spent inside the sampler"),
-    "profile.cpu_share.*": ("gauge", "sampled CPU share per dispatch label"),
-    "profile.alloc_bytes.*": ("gauge", "sampled allocation bytes per dispatch label"),
+    "profile.cpu_share": ("gauge", "sampled CPU share per dispatch label"),
+    "profile.alloc_bytes": ("gauge", "sampled allocation bytes per dispatch label"),
     "mem.allocated_blocks": ("gauge", "tracemalloc allocated blocks"),
-    "mem.*": ("gauge", "process memory info fields"),
-    # sim scheduler / dispatch bus
-    "sim.dispatch.*.events": ("gauge", "events executed per dispatch label"),
-    "sim.dispatch.*.wall_s": ("gauge", "cumulative wall time per dispatch label"),
-    "sim.dispatch.*.wall_max_s": ("gauge", "max single-event wall time per label"),
-    "sim.timer.errors.*": ("counter", "exceptions raised by a recurring timer"),
-    # storage CID cache (emitted by the benchmark harness)
-    "cid.cache.*": ("counter", "content-id cache hits/misses by kind"),
+    "mem.rss_bytes": ("gauge", "process resident set size"),
+    "mem.rss_peak_bytes": ("gauge", "process peak resident set size"),
+    "mem.traced_bytes": ("gauge", "tracemalloc traced bytes"),
+    "mem.traced_peak_bytes": ("gauge", "tracemalloc peak traced bytes"),
+    # sim scheduler / dispatch bus — labels: label (timer errors: timer)
+    "sim.dispatch.events": ("gauge", "events executed per dispatch label"),
+    "sim.dispatch.wall_s": ("gauge", "cumulative wall time per dispatch label"),
+    "sim.dispatch.wall_max_s": ("gauge", "max single-event wall time per label"),
+    "sim.timer.errors": ("counter", "exceptions raised by a recurring timer"),
+    # storage CID cache (emitted by the benchmark harness) — labels: kind
+    "cid.cache": ("counter", "content-id cache hits/misses by kind"),
 }
-
-
-def _catalog_entry(raw: str):
-    """The ``(type, help)`` catalog entry a raw metric name falls under.
-
-    Exact match wins; otherwise the most specific (longest) wildcard
-    pattern, with ``*`` matching any run — good enough for HELP lookup
-    since interpolated values never contain dots.
-    """
-    entry = METRIC_CATALOG.get(raw)
-    if entry is not None:
-        return entry
-    for pattern in sorted(METRIC_CATALOG, key=lambda p: (-len(p), p)):
-        if "*" not in pattern:
-            continue
-        regex = re.escape(pattern).replace("\\*", ".*")
-        if re.fullmatch(regex, raw):
-            return METRIC_CATALOG[pattern]
-    return None
 
 
 def _prom_name(name: str) -> str:
@@ -247,59 +225,66 @@ def _escape_help(text: str) -> str:
     return text.replace("\\", "\\\\").replace("\n", "\\n")
 
 
-def _escape_label_value(value: str) -> str:
-    """Escape a label value per the text exposition format."""
-    return (
-        value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    )
+def _families(registry: dict) -> dict:
+    """``family -> [(labels, metric)]`` in sorted family, then key, order."""
+    out: dict = {}
+    for key in sorted(registry, key=lambda k: (k.partition("{")[0], k)):
+        family, labels = split_series_key(key)
+        out.setdefault(family, []).append((labels, registry[key]))
+    return out
 
 
 def to_prometheus(sim) -> str:
     """Render the sim's metrics registry in Prometheus text format.
 
-    Each family gets ``# HELP`` (the original dotted metric name — the
-    sanitised family name loses it — plus the :data:`METRIC_CATALOG`
-    description when the name falls under a declared family) and
-    ``# TYPE`` lines, and label values are escaped, so the output passes
+    Each family gets one ``# HELP`` (the dotted family name — the
+    sanitised Prometheus name loses it — plus its :data:`METRIC_CATALOG`
+    description) and one ``# TYPE`` line, then the samples of every
+    series with the series' labels, escaped, so the output passes
     ``promtool check metrics``.
     """
     metrics = sim.metrics
     lines: list[str] = []
     emitted: set = set()
-
-    def emit(name: str, raw: str, kind: str, body: list) -> None:
-        if name in emitted:  # sanitisation collision: keep the first
-            return
-        emitted.add(name)
-        entry = _catalog_entry(raw)
-        help_text = raw if entry is None else f"{raw}: {entry[1]}"
-        lines.append(f"# HELP {name} {_escape_help(help_text)}")
-        lines.append(f"# TYPE {name} {kind}")
-        lines.extend(body)
-
-    for raw, counter in sorted(metrics.counters.items()):
-        name = _prom_name(raw)
-        emit(name, raw, "counter", [f"{name} {counter.value}"])
-    for raw, gauge in sorted(metrics.gauges.items()):
-        name = _prom_name(raw)
-        emit(name, raw, "gauge", [f"{name} {_fmt(gauge.value)}"])
-    for raw, histogram in sorted(metrics.histograms.items()):
-        name = _prom_name(raw)
-        summary = histogram.summary()
-        body = []
-        for label, quantile in (("p50", "0.5"), ("p95", "0.95"), ("p99", "0.99")):
-            value = summary[label]
-            if value is not None:
-                quantile_value = _escape_label_value(quantile)
-                body.append(f'{name}{{quantile="{quantile_value}"}} {_fmt(value)}')
-        body.append(f"{name}_count {summary['count']}")
-        body.append(f"{name}_sum {_fmt(histogram.total)}")
-        emit(name, raw, "summary", body)
-    for raw, series in sorted(metrics.series.items()):
-        name = _prom_name(raw)
-        if series.points:
-            emit(name, raw, "gauge", [f"{name} {_fmt(series.points[-1][1])}"])
+    for kind, registry in (
+        ("counter", metrics.counters),
+        ("gauge", metrics.gauges),
+        ("summary", metrics.histograms),
+        ("gauge", metrics.series),
+    ):
+        for family, series in _families(registry).items():
+            name = _prom_name(family)
+            body = [
+                line for labels, metric in series for line in _samples(name, labels, metric)
+            ]
+            if name in emitted or not body:  # sanitisation clash: keep the first
+                continue
+            emitted.add(name)
+            entry = METRIC_CATALOG.get(family)
+            help_text = family if entry is None else f"{family}: {entry[1]}"
+            lines.append(f"# HELP {name} {_escape_help(help_text)}")
+            lines.append(f"# TYPE {name} {kind}")
+            lines.extend(body)
     return "\n".join(lines) + "\n"
+
+
+def _samples(name: str, labels: dict, metric) -> list:
+    """The exposition lines of one series of the *name* family."""
+    if isinstance(metric, Histogram):
+        summary = metric.summary()
+        out = [
+            f"{series_key(name, {**labels, 'quantile': quantile})} {_fmt(summary[stat])}"
+            for stat, quantile in (("p50", "0.5"), ("p95", "0.95"), ("p99", "0.99"))
+            if summary[stat] is not None
+        ]
+        out.append(f"{series_key(name + '_count', labels)} {summary['count']}")
+        out.append(f"{series_key(name + '_sum', labels)} {_fmt(metric.total)}")
+        return out
+    if isinstance(metric, TimeSeries):
+        if not metric.points:
+            return []
+        return [f"{series_key(name, labels)} {_fmt(metric.points[-1][1])}"]
+    return [f"{series_key(name, labels)} {_fmt(metric.value)}"]
 
 
 def _fmt(value: float) -> str:

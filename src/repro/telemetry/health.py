@@ -5,13 +5,15 @@
 one reader of per-subnet vitals — onto
 :class:`~repro.sim.metrics.TimeSeries`:
 
-- ``health.<subnet>.height`` — the subnet's best head (the highest of its
+- ``health.height`` — the subnet's best head (the highest of its
   validators), so one stopped or partitioned validator does not drag it;
-- ``health.<subnet>.mempool`` — pending user messages;
-- ``health.<subnet>.pending_crossmsgs`` — cross-msg pool depth
+- ``health.mempool`` — pending user messages;
+- ``health.pending_crossmsgs`` — cross-msg pool depth
   (unapplied top-down messages + unresolved bottom-up metas);
-- ``health.<subnet>.checkpoint_lag`` — windows sealed locally but not yet
-  recorded by the parent's SA (0 = fully anchored).
+- ``health.checkpoint_lag`` — windows sealed locally but not yet
+  recorded by the parent's SA (0 = fully anchored; the rootnet has none),
+
+each labeled with the subnet path,
 
 and then emits the round as a ``health(latest)`` observation on
 ``sim.observers`` — the flight recorder's health ring and the scenario
@@ -54,12 +56,16 @@ class HealthProbe:
         now = self.sim.now
         metrics = self.sim.metrics
         for path, vitals in self.system.health_snapshot().items():
-            sample = {"time": now}
-            for field in FIELDS:
-                value = sample[field] = vitals[field]
-                if value is not None:
-                    metrics.timeseries(f"health.{path}.{field}").record(now, value)
-            self.latest[path] = sample
+            metrics.timeseries("health.height", subnet=path).record(now, vitals["height"])
+            metrics.timeseries("health.mempool", subnet=path).record(now, vitals["mempool"])
+            metrics.timeseries("health.pending_crossmsgs", subnet=path).record(
+                now, vitals["pending_crossmsgs"]
+            )
+            if vitals["checkpoint_lag"] is not None:
+                metrics.timeseries("health.checkpoint_lag", subnet=path).record(
+                    now, vitals["checkpoint_lag"]
+                )
+            self.latest[path] = {"time": now, **{field: vitals[field] for field in FIELDS}}
         for observer in self.sim.observers.health:
             observer(self.latest)
         return self.latest

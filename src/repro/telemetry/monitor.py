@@ -190,8 +190,7 @@ class InvariantMonitor:
             description=description,
         )
         self.violations.append(violation)
-        self.sim.metrics.counter("invariant.violations").inc()
-        self.sim.metrics.counter(f"invariant.{auditor}.violations").inc()
+        self.sim.metrics.counter("invariant.violations", auditor=auditor).inc()
         if self.recorder is not None and len(self.recorder.bundles) < self.max_bundles:
             self.recorder.dump(violation=violation)
         return violation

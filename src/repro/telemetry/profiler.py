@@ -375,13 +375,15 @@ class SamplingProfiler:
         registry.gauge("profile.interval_s").set(self.interval)
         registry.gauge("profile.sampler_s").set(self._sampler_seconds)
         for label, share in self.label_shares().items():
-            registry.gauge(f"profile.cpu_share.{label}").set(share)
+            registry.gauge("profile.cpu_share", label=label).set(share)
         for label, size in sorted(self._alloc_bytes.items()):
-            registry.gauge(f"profile.alloc_bytes.{label}").set(size)
+            registry.gauge("profile.alloc_bytes", label=label).set(size)
         mem = self.snapshot()["mem"]
-        for key in ("rss_bytes", "rss_peak_bytes", "traced_bytes",
-                    "traced_peak_bytes"):
-            if mem.get(key) is not None:
-                registry.gauge(f"mem.{key}").set(mem[key])
+        if mem["rss_bytes"] is not None:
+            registry.gauge("mem.rss_bytes").set(mem["rss_bytes"])
+            registry.gauge("mem.rss_peak_bytes").set(mem["rss_peak_bytes"])
+        if mem.get("traced_bytes") is not None:
+            registry.gauge("mem.traced_bytes").set(mem["traced_bytes"])
+            registry.gauge("mem.traced_peak_bytes").set(mem["traced_peak_bytes"])
         registry.gauge("mem.allocated_blocks").set(mem["allocated_blocks"])
         return registry

@@ -16,12 +16,7 @@ import os
 import sys
 
 from repro.analysis.report import Table
-
-_HOP_PREFIXES = (
-    ("xnet.hop.submit.", "submit"),
-    ("xnet.hop.topdown.", "topdown"),
-    ("xnet.hop.bottomup.", "bottomup"),
-)
+from repro.sim.metrics import series_key, split_series_key
 
 
 def _fmt(value) -> str:
@@ -30,38 +25,46 @@ def _fmt(value) -> str:
     return value
 
 
-def _latency_rows(histograms: dict) -> list:
-    """(kind, level, summary) rows for every per-level hop histogram."""
+def _family(registry: dict, family: str) -> list:
+    """``(labels, value)`` of every series of *family*, in key order."""
     rows = []
-    for name in sorted(histograms):
-        for prefix, kind in _HOP_PREFIXES:
-            if name.startswith(prefix) and name[len(prefix):].startswith("L"):
-                rows.append((kind, name[len(prefix):], histograms[name]))
+    for key in sorted(registry):
+        name, labels = split_series_key(key)
+        if name == family:
+            rows.append((labels, registry[key]))
     return rows
 
 
-def _invariant_counters(counters: dict) -> dict:
+def _by_key(registry: dict, *prefixes: str) -> dict:
+    """Series key -> value for every family starting with one of *prefixes*."""
     return {
-        name: counters[name]
-        for name in sorted(counters)
-        if name.startswith("invariant.")
+        key: registry[key]
+        for key in sorted(registry)
+        if split_series_key(key)[0].startswith(prefixes)
     }
+
+
+def _latency_rows(histograms: dict) -> list:
+    """(hop, level, summary) rows of the ``xnet.hop`` family."""
+    return [
+        (labels.get("hop"), f"L{labels.get('level')}", summary)
+        for labels, summary in _family(histograms, "xnet.hop")
+    ]
+
+
+def _e2e(histograms: dict) -> dict:
+    """Route shape -> summary of the ``xnet.e2e`` family."""
+    return {labels.get("route"): summary for labels, summary in _family(histograms, "xnet.e2e")}
 
 
 def _cache_stats(counters: dict, gauges: dict) -> dict:
     """CID-cache counters and state-root work gauges (PR 5 hot paths)."""
-    stats = {
-        name: counters[name]
-        for name in sorted(counters)
-        if name.startswith("cid.cache.")
-    }
-    hits = stats.get("cid.cache.hits")
-    misses = stats.get("cid.cache.misses")
+    stats = _by_key(counters, "cid.cache")
+    hits = stats.get(series_key("cid.cache", {"kind": "hits"}))
+    misses = stats.get(series_key("cid.cache", {"kind": "misses"}))
     if hits is not None and misses is not None and hits + misses:
         stats["cid.cache.hit_rate"] = hits / (hits + misses)
-    for name in sorted(gauges):
-        if name.startswith("state.root.") or name.startswith("state.tree."):
-            stats[name] = gauges[name]
+    stats.update(_by_key(gauges, "state.root.", "state.tree."))
     return stats
 
 
@@ -75,29 +78,17 @@ def summarize(snapshot: dict) -> dict:
         "wall_seconds": snapshot.get("wall_seconds"),
         "spans": snapshot.get("spans"),
         "invariants": snapshot.get("invariants"),
-        "invariant_counters": _invariant_counters(counters),
+        "invariant_counters": _by_key(counters, "invariant."),
         "caches": _cache_stats(counters, gauges),
         "profile": snapshot.get("profile"),
         "rounds": snapshot.get("rounds"),
-        "round_histograms": {
-            name: histograms[name]
-            for name in sorted(histograms)
-            if name.startswith("consensus.round.")
-        },
+        "round_histograms": _by_key(histograms, "consensus.round."),
         "hops": [
             {"hop": kind, "level": level, **summary}
             for kind, level, summary in _latency_rows(histograms)
         ],
-        "e2e": {
-            name[len("xnet.e2e."):]: histograms[name]
-            for name in sorted(histograms)
-            if name.startswith("xnet.e2e.")
-        },
-        "checkpoints": {
-            name: histograms[name]
-            for name in sorted(histograms)
-            if name.startswith("checkpoint.lag") or name.startswith("checkpoint.hop.")
-        },
+        "e2e": _e2e(histograms),
+        "checkpoints": _by_key(histograms, "checkpoint.lag", "checkpoint.hop."),
         "dispatch": (snapshot.get("dispatch") or [])[:10],
         "health": snapshot.get("health"),
         "trace_log": snapshot.get("trace_log"),
@@ -146,7 +137,7 @@ def render(snapshot: dict) -> str:
     counters = snapshot.get("counters", {}) or {}
     gauges = snapshot.get("gauges", {}) or {}
 
-    invariant_counters = _invariant_counters(counters)
+    invariant_counters = _by_key(counters, "invariant.")
     if invariant_counters:
         table = Table("invariant counters", ["counter", "value"])
         for name, value in invariant_counters.items():
@@ -192,7 +183,9 @@ def render(snapshot: dict) -> str:
         for path in sorted(rounds["subnets"]):
             entry = rounds["subnets"][path]
             counts = entry.get("counts") or {}
-            per_height = histograms.get(f"consensus.round.{path}.per_height") or {}
+            per_height = histograms.get(
+                series_key("consensus.round.per_height", {"subnet": path})
+            ) or {}
             frontier = (
                 f"h{entry.get('frontier_height')} r{entry.get('frontier_round')}"
                 if entry.get("frontier_height") is not None else "-"
@@ -221,11 +214,7 @@ def render(snapshot: dict) -> str:
             )
         sections.append(table.render())
 
-    e2e = {
-        name[len("xnet.e2e."):]: histograms[name]
-        for name in sorted(histograms)
-        if name.startswith("xnet.e2e.")
-    }
+    e2e = _e2e(histograms)
     if e2e:
         table = Table(
             "end-to-end cross-net latency by route shape (simulated seconds)",
@@ -238,11 +227,7 @@ def render(snapshot: dict) -> str:
             )
         sections.append(table.render())
 
-    ckpt = {
-        name: histograms[name]
-        for name in sorted(histograms)
-        if name.startswith("checkpoint.lag") or name.startswith("checkpoint.hop.")
-    }
+    ckpt = _by_key(histograms, "checkpoint.lag", "checkpoint.hop.")
     if ckpt:
         table = Table(
             "checkpoint anchoring (simulated seconds)",

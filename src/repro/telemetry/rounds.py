@@ -13,9 +13,10 @@ produces:
 
 - per-validator round **timelines** (bounded rings, exported as one
   Perfetto track per validator by :mod:`repro.telemetry.export`);
-- ``consensus.round.*`` quorum-progress **gauges** per subnet: the
-  working frontier ``(height, round)``, prevote/precommit power held at
-  the frontier vs. the quorum power needed;
+- quorum-progress **gauges** labeled by subnet: the working frontier
+  (``consensus.round.height`` / ``.number``), the prevote/precommit power
+  held there (``consensus.round.vote_power``, labeled by vote) vs. the
+  quorum power needed (``consensus.round.quorum_power``);
 - round-duration and rounds-per-height **histograms**, plus timeout /
   round-skip / lock counters.
 
@@ -76,6 +77,8 @@ class RoundTracer:
         # subnet -> frontier bookkeeping
         self._frontier: dict[str, tuple] = {}  # subnet -> (height, round)
         self._quorum: dict[str, tuple] = {}  # subnet -> (quorum, total)
+        # subnet -> its frontier gauges, resolved on the first refresh
+        self._gauges: dict[str, tuple] = {}
         # (subnet, height, round, vote_type) -> {voter: power} (dedup across
         # observers: the first validator to record a voter's vote wins,
         # which is deterministic on a deterministic simulator)
@@ -123,19 +126,19 @@ class RoundTracer:
         if kind in ("round_start", "round_skip"):
             started = self._round_started.get(key)
             if started is not None:
-                self.metrics.histogram(
-                    f"consensus.round.{subnet}.duration"
-                ).observe(time - started)
+                self.metrics.histogram("consensus.round.duration", subnet=subnet).observe(
+                    time - started
+                )
             self._round_started[key] = time
             quorum, total = fields.get("quorum"), fields.get("total")
             if quorum is not None:
                 self._quorum[subnet] = (quorum, total)
             if kind == "round_skip":
-                self.metrics.counter(f"consensus.round.{subnet}.skips").inc()
+                self.metrics.counter("consensus.round.skips", subnet=subnet).inc()
         elif kind == "timeout":
-            self.metrics.counter(f"consensus.round.{subnet}.timeouts").inc()
+            self.metrics.counter("consensus.round.timeouts", subnet=subnet).inc()
         elif kind == "lock":
-            self.metrics.counter(f"consensus.round.{subnet}.locks").inc()
+            self.metrics.counter("consensus.round.locks", subnet=subnet).inc()
         elif kind == "vote":
             voter = fields.get("voter")
             book = self._votes.setdefault(
@@ -146,9 +149,9 @@ class RoundTracer:
         elif kind == "commit":
             # Rounds are 0-based; a height that committed at round r took
             # r+1 rounds.  Slot engines commit at "round" 0 (their slot).
-            self.metrics.histogram(
-                f"consensus.round.{subnet}.per_height"
-            ).observe((round_ or 0) + 1)
+            self.metrics.histogram("consensus.round.per_height", subnet=subnet).observe(
+                (round_ or 0) + 1
+            )
             self._round_started.pop(key, None)
 
         self._advance_frontier(subnet, height, round_)
@@ -171,16 +174,24 @@ class RoundTracer:
         if frontier is None:
             return
         height, round_ = frontier
-        gauge = self.metrics.gauge
-        gauge(f"consensus.round.{subnet}.height").set(height)
-        gauge(f"consensus.round.{subnet}.number").set(round_)
+        gauges = self._gauges.get(subnet)
+        if gauges is None:
+            metrics = self.metrics
+            gauges = self._gauges[subnet] = (
+                metrics.gauge("consensus.round.height", subnet=subnet),
+                metrics.gauge("consensus.round.number", subnet=subnet),
+                metrics.gauge("consensus.round.vote_power", subnet=subnet, vote="prevote"),
+                metrics.gauge("consensus.round.vote_power", subnet=subnet, vote="precommit"),
+            )
+        height_gauge, number_gauge, prevote_gauge, precommit_gauge = gauges
+        height_gauge.set(height)
+        number_gauge.set(round_)
         quorum = self._quorum.get(subnet)
         if quorum is not None and quorum[0] is not None:
-            gauge(f"consensus.round.{subnet}.quorum_power").set(quorum[0])
-        for vote_type in ("prevote", "precommit"):
+            self.metrics.gauge("consensus.round.quorum_power", subnet=subnet).set(quorum[0])
+        for vote_type, gauge in (("prevote", prevote_gauge), ("precommit", precommit_gauge)):
             book = self._votes.get((subnet, height, round_, vote_type))
-            held = sum(book.values()) if book else 0
-            gauge(f"consensus.round.{subnet}.{vote_type}_power").set(held)
+            gauge.set(sum(book.values()) if book else 0)
 
     # ------------------------------------------------------------------
     # Introspection

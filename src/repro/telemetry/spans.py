@@ -20,13 +20,18 @@ parent SA) → commit @ parent.
 Hop latencies land as simulated-time histograms on the simulator's
 :class:`~repro.sim.metrics.MetricsRegistry`:
 
-- ``xnet.hop.submit.L<k>`` — submission to source-chain commit at level k;
-- ``xnet.hop.topdown.L<k>`` / ``xnet.hop.bottomup.L<k>`` — one hop whose
+- ``xnet.hop{hop="submit",level="k"}`` — submission to source-chain
+  commit at level k;
+- ``xnet.hop{hop="topdown"|"bottomup",level="k"}`` — one hop whose
   *arrival* subnet sits at hierarchy level k (root = 0);
-- ``xnet.e2e.{topdown,bottomup,path}`` — end-to-end by route shape;
-- ``checkpoint.lag`` (+ ``checkpoint.lag.L<k>``) — child seal to parent
-  commit; ``checkpoint.hop.seal_to_submit`` / ``.submit_to_commit`` split
-  the signature-gathering wait from the parent-chain inclusion wait.
+- ``xnet.e2e{route="topdown"|"bottomup"|"path"}`` — end-to-end by route
+  shape;
+- ``checkpoint.lag{level="k"}`` — child seal to parent commit, by the
+  child's level; ``checkpoint.hop.seal_to_submit`` / ``.submit_to_commit``
+  split the signature-gathering wait from the parent-chain inclusion wait.
+
+The all-levels distribution of a family is the
+:meth:`~repro.sim.metrics.Histogram.merge` of its series.
 
 Determinism: the tracer subscribes to the simulator's observation stream
 (``block_commit`` and ``checkpoint_submit`` on ``sim.observers``), so it is
@@ -42,6 +47,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
+
+from repro.sim.metrics import Histogram
 
 
 def subnet_level(path: str) -> int:
@@ -87,6 +94,8 @@ class SpanTracer:
         self._seen: set = set()
         # (source, to_subnet, to_addr, value) -> FIFO of submission times
         self._pending_submits: dict[tuple, deque] = {}
+        # (hop, level) -> its xnet.hop histogram, resolved on first use
+        self._hops: dict[tuple, Histogram] = {}
         self._removers: tuple = ()
 
     # ------------------------------------------------------------------
@@ -163,13 +172,17 @@ class SpanTracer:
         entry.setdefault("window", window)
         sealed = entry.get("sealed")
         if sealed is not None:
-            self._hist("checkpoint.hop.seal_to_submit", now - sealed)
+            self.metrics.histogram("checkpoint.hop.seal_to_submit").observe(now - sealed)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _hist(self, name: str, value: float) -> None:
-        self.metrics.histogram(name).observe(value)
+    def _hop(self, hop: str, level: int) -> Histogram:
+        histogram = self._hops.get((hop, level))
+        if histogram is None:
+            histogram = self.metrics.histogram("xnet.hop", hop=hop, level=level)
+            self._hops[hop, level] = histogram
+        return histogram
 
     def _observe_msg(
         self,
@@ -206,8 +219,7 @@ class SpanTracer:
             if pending:
                 t_submit = pending.popleft()
                 events.append(SpanEvent(t_submit, "submit", subnet))
-                self._hist(f"xnet.hop.submit.L{subnet_level(subnet)}", now - t_submit)
-                self._hist("xnet.hop.submit", now - t_submit)
+                self._hop("submit", subnet_level(subnet)).observe(now - t_submit)
 
         prev = events[-1] if events else None
         events.append(SpanEvent(now, phase, subnet))
@@ -215,15 +227,14 @@ class SpanTracer:
         if prev is not None and prev.phase != "submit" and phase in ("enqueue", "deliver"):
             level = subnet_level(subnet)
             direction = "topdown" if level > subnet_level(prev.subnet) else "bottomup"
-            self._hist(f"xnet.hop.{direction}.L{level}", now - prev.time)
-            self._hist(f"xnet.hop.{direction}", now - prev.time)
+            self._hop(direction, level).observe(now - prev.time)
 
         if phase == "deliver":
             info["status"] = "delivered"
             first = events[0]
             shape = route_shape(first.subnet, subnet)
             info.setdefault("shape", shape)
-            self._hist(f"xnet.e2e.{shape}", now - first.time)
+            self.metrics.histogram("xnet.e2e", route=shape).observe(now - first.time)
             self.metrics.counter("xnet.spans.delivered").inc()
         elif phase == "fail":
             info["status"] = "failed"
@@ -254,12 +265,14 @@ class SpanTracer:
                 entry.setdefault("source", child)
             sealed = entry.get("sealed")
             if sealed is not None:
-                lag = now - sealed
-                self._hist("checkpoint.lag", lag)
-                self._hist(f"checkpoint.lag.L{subnet_level(entry['source'])}", lag)
+                self.metrics.histogram(
+                    "checkpoint.lag", level=subnet_level(entry["source"])
+                ).observe(now - sealed)
             submitted = entry.get("submitted")
             if submitted is not None:
-                self._hist("checkpoint.hop.submit_to_commit", now - submitted)
+                self.metrics.histogram("checkpoint.hop.submit_to_commit").observe(
+                    now - submitted
+                )
 
     # ------------------------------------------------------------------
     # Introspection

@@ -90,7 +90,7 @@ def test_state_root_mismatch_rejected():
     bad = FullBlock(header=tampered_header, messages=good.messages,
                     cross_messages=good.cross_messages)
     assert not node.receive_block(bad, final=True)
-    assert sim.metrics.counter("chain./root.state_mismatch").value == 1
+    assert sim.metrics.counter("chain.state_mismatch", subnet="/root").value == 1
 
 
 def test_submitted_messages_selected_and_cleared():
@@ -166,4 +166,4 @@ def test_reorg_counted_and_head_state_switches():
     )
     assert node.receive_block(proper_child, final=False)
     assert node.head().cid == proper_child.cid
-    assert sim.metrics.counter("chain./root.reorgs").value >= 1
+    assert sim.metrics.counter("chain.reorgs", subnet="/root").value >= 1

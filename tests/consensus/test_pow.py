@@ -37,7 +37,7 @@ def test_pow_forks_happen_under_latency(make_cluster):
     cluster.run(90.0)
     total_forks = sum(node.store.fork_count() for node in cluster.nodes)
     assert total_forks > 0
-    reorgs = cluster.sim.metrics.counter("chain./root.reorgs").value
+    reorgs = cluster.sim.metrics.counter("chain.reorgs", subnet="/root").value
     assert reorgs > 0
 
 

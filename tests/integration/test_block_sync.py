@@ -26,7 +26,7 @@ def _deep_outage(engine: str, seed: int = 42) -> None:
     system.run_for(8.0)
     heads = [n.head().height for n in nodes]
     assert max(heads) - min(heads) <= 1, f"straggler after restart: {heads}"
-    assert system.sim.metrics.counter(f"chain.{sub}.sync_blocks").value > 0
+    assert system.sim.metrics.counter("chain.sync_blocks", subnet=sub).value > 0
     assert audit_system(system).ok
 
 

@@ -84,7 +84,7 @@ def test_equivocating_checkpoint_signer_gets_subnet_slashed():
     record = system.child_record(ROOTNET, sub)
     assert record["slashed_total"] > 0, "equivocation was never slashed"
     assert record["collateral"] < collateral_before
-    assert system.sim.metrics.counter(f"checkpoint.{sub.path}.fraud_proofs").value >= 1
+    assert system.sim.metrics.counter("checkpoint.fraud_proofs", subnet=sub.path).value >= 1
 
 
 def test_threshold_signed_checkpoints_commit():

@@ -2,6 +2,7 @@
 behaviours, asserting the system degrades and recovers as designed."""
 
 from repro.hierarchy import ROOTNET, HierarchicalSystem, SubnetConfig, audit_system
+from repro.sim.metrics import series_key
 
 
 def test_subnet_recovers_from_internal_partition():
@@ -156,9 +157,11 @@ def test_audit_holds_mid_reorg_on_pow_subnet():
     monitor = system.invariant_monitor
     assert monitor.violations_for("supply") == []
     assert monitor.violations_for("checkpoint-chain") == []
-    reorgs = system.sim.metrics.counters.get(f"chain.{sub.path}.reorgs")
+    reorgs = system.sim.metrics.counters.get(series_key("chain.reorgs", {"subnet": sub.path}))
     if reorgs is not None and reorgs.value > 0:
-        depth = system.sim.metrics.histograms[f"chain.{sub.path}.reorg.depth"]
+        depth = system.sim.metrics.histograms[
+            series_key("chain.reorg.depth", {"subnet": sub.path})
+        ]
         assert depth.count == reorgs.value
         assert depth.summary()["max"] >= 1
 

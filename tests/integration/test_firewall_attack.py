@@ -10,6 +10,7 @@ from repro.hierarchy import (
     SubnetConfig,
     audit_system,
 )
+from repro.sim.metrics import series_key
 
 
 def build_system(seed=31):
@@ -64,7 +65,9 @@ def test_forged_extraction_gets_at_most_supply_with_split_messages():
     extracted = system.balance(ROOTNET, attacker)
     assert extracted <= supply
     # Refusals were recorded by the firewall.
-    refused = system.sim.metrics.counters.get("crossmsg./root.bottomup_ok")
+    refused = system.sim.metrics.counters.get(
+        series_key("crossmsg.applied", {"dir": "bottomup", "subnet": "/root"})
+    )
     audit = audit_system(system)
     assert audit.ok, audit.violations
 

@@ -2,5 +2,5 @@
 
 METRIC_CATALOG = {
     "app.requests": ("counter", "requests served"),
-    "app.latency.*": ("histogram", "per-phase latency"),
+    "app.latency": ("summary", "per-phase latency"),
 }

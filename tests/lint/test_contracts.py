@@ -6,7 +6,6 @@ from repro.lint.contracts import (
     Site,
     build_contract_graph,
     closest_patterns,
-    metric_patterns_compatible,
     patterns_compatible,
     site_suppressed,
 )
@@ -30,22 +29,10 @@ def test_whole_string_patterns():
     assert not patterns_compatible("blocks:new", "blocks:old")
 
 
-def test_metric_patterns_mid_star_is_one_segment():
-    assert metric_patterns_compatible("a.*.c", "a.b.c")
-    assert not metric_patterns_compatible("a.*.c", "a.b.x.c")
-    assert not metric_patterns_compatible("a.b", "a.b.c")
-
-
-def test_metric_patterns_final_star_is_greedy():
-    assert metric_patterns_compatible("xnet.hop.*", "xnet.hop.submit.L2")
-    assert metric_patterns_compatible("xnet.hop.submit.L2", "xnet.hop.*")
-    assert not metric_patterns_compatible("xnet.hop.*", "xnet.e2e.path")
-
-
 def test_embedded_wildcard_chunks():
-    # A partially-interpolated segment still matches by prefix/suffix.
-    assert metric_patterns_compatible("checkpoint.lag.L*", "checkpoint.lag.L2")
-    assert not metric_patterns_compatible("checkpoint.lag.L*", "checkpoint.lag.M2")
+    # A partially-interpolated key still matches by prefix/suffix.
+    assert patterns_compatible("ckpt:L*:sig", "ckpt:L2:sig")
+    assert not patterns_compatible("ckpt:L*:sig", "ckpt:M2:sig")
 
 
 def test_closest_patterns_rank_by_common_prefix():
@@ -110,30 +97,40 @@ def test_fully_unresolvable_key_lands_in_unresolved():
     assert lost.line == 2
 
 
-def test_metric_helper_substituted_across_files():
+def test_metric_family_is_a_literal_or_module_constant():
     graph = graph_of(
-        "class Engine:\n"
-        "    def _metric(self, name):\n"
-        "        return self.sim.metrics.counter(f'consensus.{self.sub}.{name}')\n",
-        "class PoA(Engine):\n"
-        "    def on_propose(self):\n"
-        "        self._metric('proposed')\n",
+        "FAMILY = 'chain.reorgs'\n"
+        "class Node:\n"
+        "    def commit(self, n):\n"
+        "        self.sim.metrics.counter(FAMILY, subnet=self.sid).inc()\n"
+        "        self.sim.metrics.histogram('chain.reorg.depth', subnet=self.sid)\n"
+        "        self.sim.metrics.mark('chain.blocks', 1, subnet=self.sid)\n",
     )
-    assert [s.pattern for s in graph.metrics_emitted] == ["consensus.*.proposed"]
-    # The helper's own parameterised emit is not double-counted.
+    assert [(s.pattern, s.detail) for s in graph.metrics_emitted] == [
+        ("chain.reorgs", "counter"),
+        ("chain.reorg.depth", "summary"),
+        ("chain.blocks", "gauge"),
+    ]
     assert graph.unresolved == []
 
 
-def test_local_metric_alias_is_recognised():
+def test_computed_metric_family_lands_in_unresolved():
     graph = graph_of(
-        "class Exporter:\n"
-        "    def flush(self):\n"
-        "        gauge = self.metrics.gauge\n"
-        "        gauge('mem.allocated_blocks').set(1)\n"
+        "PREFIX = f'consensus.{1}'\n"
+        "class Engine:\n"
+        "    def _metric(self, name):\n"
+        "        return self.sim.metrics.counter(f'consensus.{self.sub}.{name}')\n"
+        "    def go(self, name):\n"
+        "        self.sim.metrics.gauge(PREFIX)\n"
+        "        self.sim.metrics.gauge('consensus.' + name)\n"
+        "        self._metric('proposed')\n",
     )
-    (site,) = graph.metrics_emitted
-    assert site.pattern == "mem.allocated_blocks"
-    assert site.detail == "gauge"
+    assert graph.metrics_emitted == []
+    assert [(s.line, s.detail) for s in graph.unresolved] == [
+        (4, "metric"),
+        (6, "metric"),
+        (7, "metric"),
+    ]
 
 
 def test_dispatch_labels():

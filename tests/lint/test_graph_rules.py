@@ -3,8 +3,8 @@
 Each rule has a ``fixtures/graph/<rule>_bad/`` directory that must light
 it up (with both endpoints of the broken edge in the message) and a
 ``<rule>_clean/`` sibling that must stay silent.  The clean trees also
-exercise dataflow-lite resolution: topic helpers, f-string wildcards and
-wildcard catalog families.
+exercise dataflow-lite resolution (topic helpers, f-string wildcards) and
+labeled metric emits against an exact catalog.
 """
 
 import json
@@ -101,10 +101,65 @@ def test_met001_bad_fires_both_directions():
     assert "never emitted" in declared.message
 
 
-def test_met001_clean_wildcard_family_covers_fstring():
+def test_met001_clean_labeled_family():
     report = run_fixture("met001_clean")
     assert report.findings == []
-    assert "app.latency.*" in {s.pattern for s in report.graph.metrics_emitted}
+    assert "app.latency" in {s.pattern for s in report.graph.metrics_emitted}
+
+
+_APP_CATALOG = (
+    "METRIC_CATALOG = {\n"
+    '    "app.requests": ("counter", "requests served"),\n'
+    '    "app.latency": ("summary", "per-phase latency"),\n'
+    "}\n"
+)
+
+
+def test_met001_flags_a_family_that_is_not_a_literal(tmp_path):
+    _write(tmp_path, "catalog.py", _APP_CATALOG)
+    _write(
+        tmp_path,
+        "emitter.py",
+        "def serve(sim, name, phase):\n"
+        '    sim.metrics.counter("app.requests").inc()\n'
+        '    sim.metrics.histogram("app.latency", phase=phase).observe(1)\n'
+        "    sim.metrics.counter(name).inc()\n"
+        '    sim.metrics.counter(f"app.{phase}").inc()\n',
+    )
+    report = lint_paths([str(tmp_path)])
+    assert [(f.rule_id, f.line) for f in report.findings] == [
+        ("MET001", 4),
+        ("MET001", 5),
+    ]
+    assert all("not a string literal" in f.message for f in report.findings)
+
+
+def test_met001_flags_an_emit_kind_the_catalog_does_not_declare(tmp_path):
+    _write(
+        tmp_path,
+        "catalog.py",
+        "METRIC_CATALOG = {\n"
+        '    "app.requests": ("gauge", "requests served"),\n'
+        '    "app.latency": ("histogram", "per-phase latency"),\n'
+        '    "app.depth": ("gauge", "queue depth over time"),\n'
+        "}\n",
+    )
+    _write(
+        tmp_path,
+        "emitter.py",
+        "def serve(sim, phase):\n"
+        '    sim.metrics.counter("app.requests").inc()\n'
+        '    sim.metrics.histogram("app.latency", phase=phase).observe(1)\n'
+        '    sim.metrics.mark("app.depth", 3)\n',
+    )
+    report = lint_paths([str(tmp_path)])
+    assert [(f.rule_id, f.line) for f in report.findings] == [
+        ("MET001", 2),
+        ("MET001", 3),
+    ]
+    messages = [f.message for f in report.findings]
+    assert "emitted as a counter but declared as a gauge" in messages[0]
+    assert "emitted as a summary but declared as a histogram" in messages[1]
 
 
 # ----------------------------------------------------------------------

@@ -98,9 +98,9 @@ def test_publish_exports_gauges_to_sim_metrics():
     sim.run()
     sim.dispatch.publish()
     snapshot = sim.metrics.snapshot()
-    assert snapshot["gauges"]["sim.dispatch.tick.events"] == 1
-    assert snapshot["gauges"]["sim.dispatch.tick.wall_s"] >= 0.0
-    assert snapshot["gauges"]["sim.dispatch.tick.wall_max_s"] >= 0.0
+    assert snapshot["gauges"]['sim.dispatch.events{label="tick"}'] == 1
+    assert snapshot["gauges"]['sim.dispatch.wall_s{label="tick"}'] >= 0.0
+    assert snapshot["gauges"]['sim.dispatch.wall_max_s{label="tick"}'] >= 0.0
 
 
 def test_publish_without_registry_raises():

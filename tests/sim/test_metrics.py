@@ -4,7 +4,15 @@ import math
 
 import pytest
 
-from repro.sim.metrics import Counter, Gauge, Histogram, MetricsRegistry, TimeSeries
+from repro.sim.metrics import (
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+    TimeSeries,
+    series_key,
+    split_series_key,
+)
 
 
 def test_counter_increments():
@@ -126,6 +134,25 @@ def test_registry_reuses_instances():
     assert registry.histogram("b") is registry.histogram("b")
     assert registry.gauge("c") is registry.gauge("c")
     assert registry.timeseries("d") is registry.timeseries("d")
+
+
+def test_registry_labels_name_one_series_whatever_their_order():
+    registry = MetricsRegistry()
+    hop = registry.histogram("xnet.hop", level=1, hop="topdown")
+    assert hop is registry.histogram("xnet.hop", hop="topdown", level="1")
+    assert list(registry.histograms) == ['xnet.hop{hop="topdown",level="1"}']
+    registry.mark("chain.blocks", 1, subnet="/root/a")
+    assert list(registry.series) == ['chain.blocks{subnet="/root/a"}']
+    assert registry.counter("net.sent").name == "net.sent"
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [{}, {"subnet": "/root/a-b"}, {"b": 'quote" back\\slash\nline', "a": "x,y=z}"}],
+)
+def test_series_key_round_trips_through_split(labels):
+    key = series_key("chain.reorgs", labels)
+    assert split_series_key(key) == ("chain.reorgs", labels)
 
 
 def test_registry_mark_uses_clock():

@@ -165,7 +165,7 @@ def test_every_callback_error_keeps_ticking_by_default():
     record = next(sim.trace.filter(kind="timer.error"))
     assert record.subject == "flaky"
     assert "transient failure" in record.detail
-    assert sim.metrics.counter("sim.timer.errors.flaky").value == 1
+    assert sim.metrics.counter("sim.timer.errors", timer="flaky").value == 1
 
 
 def test_every_on_error_stop_ends_recurrence_and_logs():

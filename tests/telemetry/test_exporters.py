@@ -11,6 +11,7 @@ import os
 from pathlib import Path
 from types import SimpleNamespace
 
+from repro.sim.metrics import series_key
 from repro.sim.scheduler import Simulator
 from repro.telemetry import (
     RoundTracer,
@@ -20,6 +21,7 @@ from repro.telemetry import (
     to_prometheus,
     write_json,
 )
+from repro.telemetry.export import METRIC_CATALOG, _prom_name
 from repro.telemetry.report import main as report_main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -72,14 +74,14 @@ def _synthetic():
     series.record(2.0, 3.0)
 
     # The profiling plane's gauge families (hand-set, no sampler thread):
-    # mem.* plus profile.* with a dispatch label full of characters the
-    # exposition format must sanitise out of the family name.
+    # mem.* plus profile.* with a dispatch label full of characters a
+    # Prometheus family name could not carry.
     sim.metrics.gauge("mem.rss_bytes").set(42_000_000)
     sim.metrics.gauge("mem.allocated_blocks").set(123456)
     sim.metrics.gauge("profile.samples").set(200)
     sim.metrics.gauge("profile.interval_s").set(0.005)
-    sim.metrics.gauge("profile.cpu_share.poa:/root/a#0").set(0.625)
-    sim.metrics.gauge("profile.alloc_bytes.poa:/root/a#0").set(2048)
+    sim.metrics.gauge("profile.cpu_share", label="poa:/root/a#0").set(0.625)
+    sim.metrics.gauge("profile.alloc_bytes", label="poa:/root/a#0").set(2048)
 
     # A consensus round on /root/a: validator 0 times out of round 0,
     # skips to round 1 (f+1 catch-up), then the proposal arrives, the
@@ -157,7 +159,7 @@ def test_snapshot_json_round_trip(tmp_path):
         "traces": 2, "delivered": 1, "failed": 1, "in_flight": 0, "checkpoints": 1,
     }
     assert loaded["histograms"]["demo.empty"]["mean"] is None
-    assert loaded["histograms"]["xnet.e2e.topdown"]["count"] == 1
+    assert loaded["histograms"]['xnet.e2e{route="topdown"}']["count"] == 1
     assert loaded["counters"]["xnet.spans.failed"] == 1
     assert loaded["gauges"]["demo.gauge"] == 2.5
     assert loaded["series"]["demo.series"] == {
@@ -167,35 +169,35 @@ def test_snapshot_json_round_trip(tmp_path):
 
 def test_prometheus_declares_profiler_families():
     """mem.*/profile.* gauges export with HELP/TYPE and sanitised names —
-    the dispatch label's /, # survive only in the HELP line."""
+    the dispatch label's /, # survive in the ``label`` label's value."""
     sim, _tracer, _rounds = _synthetic()
     text = to_prometheus(sim)
     assert "# TYPE mem_rss_bytes gauge" in text
     assert "mem_rss_bytes 42000000" in text
     assert "# TYPE profile_samples gauge" in text
-    assert "# TYPE profile_cpu_share_poa:_root_a_0 gauge" in text
-    assert "profile_cpu_share_poa:_root_a_0 0.625" in text
-    assert "# HELP profile_cpu_share_poa:_root_a_0 profile.cpu_share.poa:/root/a#0" in text
+    assert "# TYPE profile_cpu_share gauge" in text
+    assert 'profile_cpu_share{label="poa:/root/a#0"} 0.625' in text
+    assert "# HELP profile_cpu_share profile.cpu_share: sampled CPU share" in text
 
 
 def test_prometheus_declares_round_families():
     """consensus.round.* gauges/counters/histograms export with HELP/TYPE."""
     sim, _tracer, _rounds = _synthetic()
     text = to_prometheus(sim)
-    assert "# TYPE consensus_round__root_a_height gauge" in text
-    assert "# HELP consensus_round__root_a_height consensus.round./root/a.height" in text
-    assert "consensus_round__root_a_height 3" in text
-    assert "consensus_round__root_a_number 1" in text
-    assert "# TYPE consensus_round__root_a_quorum_power gauge" in text
-    assert "consensus_round__root_a_quorum_power 3" in text
-    assert "consensus_round__root_a_prevote_power 3" in text
-    assert "# TYPE consensus_round__root_a_skips counter" in text
-    assert "consensus_round__root_a_skips 1" in text
-    assert "consensus_round__root_a_timeouts 1" in text
-    assert "consensus_round__root_a_locks 1" in text
-    assert "# TYPE consensus_round__root_a_duration summary" in text
-    assert "# TYPE consensus_round__root_a_per_height summary" in text
-    assert "consensus_round__root_a_per_height_count 1" in text
+    assert "# TYPE consensus_round_height gauge" in text
+    assert "# HELP consensus_round_height consensus.round.height: current" in text
+    assert 'consensus_round_height{subnet="/root/a"} 3' in text
+    assert 'consensus_round_number{subnet="/root/a"} 1' in text
+    assert "# TYPE consensus_round_quorum_power gauge" in text
+    assert 'consensus_round_quorum_power{subnet="/root/a"} 3' in text
+    assert 'consensus_round_vote_power{subnet="/root/a",vote="prevote"} 3' in text
+    assert "# TYPE consensus_round_skips counter" in text
+    assert 'consensus_round_skips{subnet="/root/a"} 1' in text
+    assert 'consensus_round_timeouts{subnet="/root/a"} 1' in text
+    assert 'consensus_round_locks{subnet="/root/a"} 1' in text
+    assert "# TYPE consensus_round_duration summary" in text
+    assert "# TYPE consensus_round_per_height summary" in text
+    assert 'consensus_round_per_height_count{subnet="/root/a"} 1' in text
 
 
 def test_chrome_trace_round_tracks():
@@ -227,6 +229,26 @@ def test_prometheus_sanitizes_names():
     assert "# HELP weird_name_with_slash weird.name-with/slash" in text
 
 
+def test_prometheus_keeps_series_whose_subnets_sanitise_alike():
+    """``/root/a-b`` and ``/root/a_b`` are distinct subnets; their series
+    stay distinct samples of one family, each with its own label."""
+    sim = Simulator(seed=1)
+    sim.metrics.counter("chain.reorgs", subnet="/root/a-b").inc(3)
+    sim.metrics.counter("chain.reorgs", subnet="/root/a_b").inc(5)
+    text = to_prometheus(sim)
+    assert text.count("# TYPE chain_reorgs counter") == 1
+    assert 'chain_reorgs{subnet="/root/a-b"} 3' in text
+    assert 'chain_reorgs{subnet="/root/a_b"} 5' in text
+
+
+def test_catalog_families_sanitise_to_distinct_names():
+    names = {}
+    for family in METRIC_CATALOG:
+        name = _prom_name(family)
+        assert name not in names, f"{family} and {names[name]} both export as {name}"
+        names[name] = family
+
+
 def test_prometheus_lint_clean():
     """Every family has HELP before TYPE and nothing else starts with #."""
     sim, _tracer, _rounds = _synthetic()
@@ -253,9 +275,9 @@ def test_prometheus_lint_clean():
 
 
 def test_prometheus_escaping_helpers():
-    from repro.telemetry.export import _escape_help, _escape_label_value
+    from repro.telemetry.export import _escape_help
 
-    assert _escape_label_value('a"b\\c\nd') == 'a\\"b\\\\c\\nd'
+    assert series_key("f", {"v": 'a"b\\c\nd'}) == 'f{v="a\\"b\\\\c\\nd"}'
     assert _escape_help("back\\slash\nnewline") == "back\\\\slash\\nnewline"
 
 
@@ -296,29 +318,29 @@ def test_report_cli_json_flag(tmp_path, capsys):
     assert summary["wall_seconds"] == 0.5
     assert any(h["hop"] == "topdown" and h["level"] == "L1" for h in summary["hops"])
     assert "topdown" in summary["e2e"]
-    assert "checkpoint.lag" in summary["checkpoints"]
+    assert 'checkpoint.lag{level="1"}' in summary["checkpoints"]
 
 
 def test_report_renders_invariant_counters_and_caches(tmp_path, capsys):
     sim, tracer, rounds = _synthetic()
-    sim.metrics.counter("invariant.supply.violations").inc(2)
-    sim.metrics.counter("cid.cache.hits").inc(90)
-    sim.metrics.counter("cid.cache.misses").inc(10)
+    sim.metrics.counter("invariant.violations", auditor="supply").inc(2)
+    sim.metrics.counter("cid.cache", kind="hits").inc(90)
+    sim.metrics.counter("cid.cache", kind="misses").inc(10)
     sim.metrics.gauge("state.root.buckets_rehashed").set(7)
     path = str(tmp_path / "dump.json")
     write_json(path, telemetry_snapshot(sim, tracer=tracer, rounds=rounds))
     assert report_main([path]) == 0
     out = capsys.readouterr().out
     assert "invariant counters" in out
-    assert "invariant.supply.violations" in out
+    assert 'invariant.violations{auditor="supply"}' in out
     assert "caches & state-root work" in out
     assert "cid.cache.hit_rate" in out and "0.9" in out
     assert "state.root.buckets_rehashed" in out
 
     assert report_main([path, "--json"]) == 0
     summary = json.loads(capsys.readouterr().out)
-    assert summary["invariant_counters"] == {"invariant.supply.violations": 2}
-    assert summary["caches"]["cid.cache.hits"] == 90
+    assert summary["invariant_counters"] == {'invariant.violations{auditor="supply"}': 2}
+    assert summary["caches"]['cid.cache{kind="hits"}'] == 90
     assert summary["caches"]["cid.cache.hit_rate"] == 0.9
     assert summary["caches"]["state.root.buckets_rehashed"] == 7
 
@@ -362,7 +384,7 @@ def test_report_renders_rounds_section(tmp_path, capsys):
     assert entry["quorum_power"] == 3
     assert entry["prevote_power"] == 3
     assert entry["counts"]["round_skip"] == 1
-    assert "consensus.round./root/a.duration" in summary["round_histograms"]
+    assert 'consensus.round.duration{subnet="/root/a"}' in summary["round_histograms"]
 
 
 def test_report_renders_invariants_section(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.hierarchy import HierarchicalSystem, SubnetConfig
+from repro.sim.metrics import series_key
 from repro.telemetry.health import FIELDS, HealthProbe
 
 
@@ -26,7 +27,7 @@ def test_probe_samples_every_subnet(probed_system):
 
 def test_probe_records_time_series(probed_system):
     series = probed_system.sim.metrics.series
-    heights = series["health./root/fast.height"]
+    heights = series[series_key("health.height", {"subnet": "/root/fast"})]
     assert len(heights.points) >= 10  # one per second of simulated time
     times = heights.times()
     assert times == sorted(times)
@@ -41,15 +42,18 @@ def test_checkpoint_lag_semantics(probed_system):
     assert latest["/root"]["checkpoint_lag"] is None  # root anchors to nothing
     lag = latest["/root/fast"]["checkpoint_lag"]
     assert isinstance(lag, int) and lag >= 0
-    assert "health./root.checkpoint_lag" not in probed_system.sim.metrics.series
+    assert series_key("health.checkpoint_lag", {"subnet": "/root"}) not in (
+        probed_system.sim.metrics.series
+    )
 
 
 def test_probe_stop_halts_sampling(probed_system):
     probe = probed_system.health_probe
     probe.stop()
-    before = len(probed_system.sim.metrics.series["health./root.height"].points)
+    root_height = series_key("health.height", {"subnet": "/root"})
+    before = len(probed_system.sim.metrics.series[root_height].points)
     probed_system.run_for(5)
-    after = len(probed_system.sim.metrics.series["health./root.height"].points)
+    after = len(probed_system.sim.metrics.series[root_height].points)
     assert after == before
     probe.start()  # re-arm for any later test using the fixture
 
@@ -66,7 +70,7 @@ def test_standalone_probe_without_installing_tracer():
 
 
 def test_height_is_the_best_head_while_validator_0_is_stopped():
-    """``health.<subnet>.height`` follows the subnet's best head, not
+    """``health.height`` follows the subnet's best head, not
     validator 0's: a stopped validator must not read as a stalled subnet."""
     system = HierarchicalSystem(seed=31)
     system.start()
@@ -78,5 +82,5 @@ def test_height_is_the_best_head_while_validator_0_is_stopped():
     best = max(node.head().height for node in rest)
     assert first.head().height < best
     assert probe.latest[sub.path]["height"] == best
-    series = system.sim.metrics.series[f"health.{sub.path}.height"]
+    series = system.sim.metrics.series[series_key("health.height", {"subnet": sub.path})]
     assert series.points[-1][1] == best

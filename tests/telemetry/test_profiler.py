@@ -155,7 +155,7 @@ def test_publish_exports_profile_and_mem_gauges():
     gauges = sim.metrics.snapshot()["gauges"]
     assert gauges["profile.samples"] == profiler.snapshot()["samples"]
     assert gauges["profile.interval_s"] == 0.001
-    assert gauges["profile.cpu_share.hot"] > 0.0
+    assert gauges['profile.cpu_share{label="hot"}'] > 0.0
     assert gauges["mem.allocated_blocks"] > 0
     if read_rss_bytes() is not None:
         assert gauges["mem.rss_bytes"] > 0

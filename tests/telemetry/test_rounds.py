@@ -87,12 +87,12 @@ def test_round_duration_and_per_height_histograms():
     sim, tracer = _tracer()
     _feed(tracer, "round_start", 1.0, height=2, round=0, quorum=3, total=4)
     _feed(tracer, "round_skip", 3.5, height=2, round=2, quorum=3, total=4)
-    duration = sim.metrics.histogram(f"consensus.round.{SUBNET}.duration")
+    duration = sim.metrics.histogram("consensus.round.duration", subnet=SUBNET)
     assert duration.samples == [2.5]
     _feed(tracer, "commit", 4.0, height=2, round=2)
-    per_height = sim.metrics.histogram(f"consensus.round.{SUBNET}.per_height")
+    per_height = sim.metrics.histogram("consensus.round.per_height", subnet=SUBNET)
     assert per_height.samples == [3]  # rounds are 0-based: r2 = 3 rounds
-    assert sim.metrics.counter(f"consensus.round.{SUBNET}.skips").value == 1
+    assert sim.metrics.counter("consensus.round.skips", subnet=SUBNET).value == 1
 
 
 def test_summary_reports_frontier_power_and_counts():

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.hierarchy import HierarchicalSystem, SubnetConfig
+from repro.sim.metrics import Histogram, split_series_key
 from repro.sim.scheduler import Simulator
 from repro.telemetry import SpanTracer, route_shape, subnet_level
 
@@ -78,20 +79,23 @@ def test_bottomup_span_lifecycle(traced_system):
 def test_hop_histograms_populated(traced_system):
     histograms = traced_system.sim.metrics.histograms
     for name in (
-        "xnet.hop.submit.L0",
-        "xnet.hop.submit.L1",
-        "xnet.hop.topdown.L1",
-        "xnet.hop.bottomup.L0",
-        "xnet.e2e.topdown",
-        "xnet.e2e.bottomup",
-        "checkpoint.lag",
-        "checkpoint.lag.L1",
+        'xnet.hop{hop="submit",level="0"}',
+        'xnet.hop{hop="submit",level="1"}',
+        'xnet.hop{hop="topdown",level="1"}',
+        'xnet.hop{hop="bottomup",level="0"}',
+        'xnet.e2e{route="topdown"}',
+        'xnet.e2e{route="bottomup"}',
+        'checkpoint.lag{level="1"}',
         "checkpoint.hop.seal_to_submit",
         "checkpoint.hop.submit_to_commit",
     ):
         assert name in histograms, f"missing histogram {name}"
         assert histograms[name].count > 0, f"empty histogram {name}"
-    summary = histograms["xnet.e2e.bottomup"].summary()
+    all_levels = Histogram("checkpoint.lag").merge(
+        *(h for key, h in histograms.items() if split_series_key(key)[0] == "checkpoint.lag")
+    )
+    assert all_levels.count > 0, "empty histogram checkpoint.lag"
+    summary = histograms['xnet.e2e{route="bottomup"}'].summary()
     assert summary["p50"] is not None and summary["p99"] >= summary["p50"]
 
 
@@ -182,7 +186,7 @@ def test_note_submit_binds_fifo_to_first_user_enqueue():
     assert [e.phase for e in first] == ["submit", "enqueue"]
     assert first[0].time == 1.0  # FIFO: oldest submission binds first
     assert second[0].time == 2.0
-    assert sim.metrics.histogram("xnet.hop.submit.L0").count == 2
+    assert sim.metrics.histogram("xnet.hop", hop="submit", level=0).count == 2
 
 
 def test_internal_messages_get_no_submit_binding():
